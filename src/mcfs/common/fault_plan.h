@@ -12,10 +12,11 @@ namespace mcfs {
 // Deterministic fault-injection schedule (DESIGN.md §4.13).
 //
 // Production failure paths are worthless untested, and timing-based
-// chaos is unreproducible. A FaultPlan generalizes the two ad-hoc test
-// hooks that existed before it (Deadline::AfterPolls planted in
-// WmaOptions, ServiceOptions::inject_verify_failures) into one seeded
-// schedule: each *site* that can fail polls the plan, and whether the
+// chaos is unreproducible. A FaultPlan is the serving layer's one
+// fault-injection hook (Deadline::AfterPolls planted in WmaOptions
+// remains the library-level one): each *site* that can fail — including
+// every verifier verdict SolverService acts on, full solves and warm
+// resolves alike — polls the plan, and whether the
 // i-th poll of a given fault kind fires is a pure function of
 // (seed, kind, i) — the same seed replays the same fault sequence, on
 // any machine, at any thread count (per-kind poll order permitting).

@@ -127,9 +127,12 @@ Status ReadWarmSeed(CheckpointReader& reader, WarmSeed* seed) {
       keyword != "warmseed") {
     return reader.Error("expected 'warmseed <customers> <facilities>'");
   }
-  seed->customers.resize(num_customers);
-  for (WarmSeedCustomer& customer : seed->customers) {
+  // Counts are untrusted until the checksum line: every vector grows
+  // record by record, so a garbled count is a malformed record, never a
+  // giant allocation.
+  for (size_t c = 0; c < num_customers; ++c) {
     if (!reader.NextPayload(&line)) return reader.Truncated("cust record");
+    WarmSeedCustomer customer;
     std::istringstream cust(line);
     std::string potential_hex;
     std::string next_hex;
@@ -145,12 +148,9 @@ Status ReadWarmSeed(CheckpointReader& reader, WarmSeed* seed) {
     }
     customer.stream_exhausted = exhausted != 0;
     customer.has_next = has_next != 0;
-    customer.edges.resize(num_edges);
-    customer.buffered.resize(num_buffered);
     for (size_t e = 0; e < num_edges + num_buffered; ++e) {
-      WarmSeedEdge& edge = e < num_edges ? customer.edges[e]
-                                         : customer.buffered[e - num_edges];
       if (!reader.NextPayload(&line)) return reader.Truncated("edge record");
+      WarmSeedEdge edge;
       std::istringstream es(line);
       std::string weight_hex;
       int matched = 0;
@@ -159,19 +159,22 @@ Status ReadWarmSeed(CheckpointReader& reader, WarmSeed* seed) {
         return reader.Error("malformed edge record");
       }
       edge.matched = matched != 0;
+      (e < num_edges ? customer.edges : customer.buffered).push_back(edge);
     }
+    seed->customers.push_back(std::move(customer));
   }
-  seed->facility_nodes.resize(num_facilities);
-  seed->facility_potentials.resize(num_facilities);
   for (size_t j = 0; j < num_facilities; ++j) {
     if (!reader.NextPayload(&line)) return reader.Truncated("fac record");
     std::istringstream fac(line);
+    NodeId node = -1;
     std::string potential_hex;
-    if (!(fac >> keyword >> seed->facility_nodes[j] >> potential_hex) ||
-        keyword != "fac" ||
-        !HexDouble(potential_hex, &seed->facility_potentials[j])) {
+    double potential = 0.0;
+    if (!(fac >> keyword >> node >> potential_hex) || keyword != "fac" ||
+        !HexDouble(potential_hex, &potential)) {
       return reader.Error("malformed fac record");
     }
+    seed->facility_nodes.push_back(node);
+    seed->facility_potentials.push_back(potential);
   }
   return OkStatus();
 }
@@ -266,14 +269,17 @@ StatusOr<ServiceCheckpoint> ReadServiceCheckpoint(const std::string& path) {
       return reader.Error("expected 'catalog <l>'");
     }
   }
-  checkpoint.facility_nodes.resize(catalog_size);
-  checkpoint.capacities.resize(catalog_size);
+  // Counts grow the vectors record by record (see ReadWarmSeed).
   for (size_t j = 0; j < catalog_size; ++j) {
     if (!reader.NextPayload(&line)) return reader.Truncated("catalog record");
     std::istringstream in(line);
-    if (!(in >> checkpoint.facility_nodes[j] >> checkpoint.capacities[j])) {
+    NodeId node = -1;
+    int capacity = 0;
+    if (!(in >> node >> capacity)) {
       return reader.Error("malformed catalog record");
     }
+    checkpoint.facility_nodes.push_back(node);
+    checkpoint.capacities.push_back(capacity);
   }
   size_t tracked_size = 0;
   if (!reader.NextPayload(&line)) return reader.Truncated("tracked header");
@@ -283,13 +289,14 @@ StatusOr<ServiceCheckpoint> ReadServiceCheckpoint(const std::string& path) {
       return reader.Error("expected 'tracked <m>'");
     }
   }
-  checkpoint.tracked_customers.resize(tracked_size);
   for (size_t i = 0; i < tracked_size; ++i) {
     if (!reader.NextPayload(&line)) return reader.Truncated("tracked record");
     std::istringstream in(line);
-    if (!(in >> checkpoint.tracked_customers[i])) {
+    NodeId node = -1;
+    if (!(in >> node)) {
       return reader.Error("malformed tracked customer record");
     }
+    checkpoint.tracked_customers.push_back(node);
   }
   if (!reader.NextPayload(&line)) return reader.Truncated("seed header");
   {

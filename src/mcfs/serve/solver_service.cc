@@ -14,8 +14,6 @@
 #include <tuple>
 #include <utility>
 
-#include "mcfs/baselines/greedy_kmedian.h"
-#include "mcfs/baselines/hilbert_baseline.h"
 #include "mcfs/common/check.h"
 #include "mcfs/common/thread_pool.h"
 #include "mcfs/common/timer.h"
@@ -58,6 +56,70 @@ struct ScopeExit {
 template <typename F>
 ScopeExit<F> OnScopeExit(F fn) {
   return {std::move(fn)};
+}
+
+// The instant responder (DESIGN.md §4.14), shared by the fast tier and
+// rung 2 of the degradation ladder: demand-ranked top-k over `nearest`
+// (each facility scored by how many customers it is nearest to, ties
+// by index — deterministic), component-coverage repair, the
+// bounded-work greedy matcher, and first-principles verification.
+// `nearest` indexes instance.facility_nodes. False when no verified
+// feasible answer came out.
+bool InstantAnswer(const McfsInstance& instance,
+                   const MultiSourceResult& nearest, McfsSolution* solution) {
+  const int catalog = static_cast<int>(instance.l());
+  const int budget = std::min(instance.k, catalog);
+  std::vector<int64_t> demand(catalog, 0);
+  for (const NodeId c : instance.customers) {
+    const int f = nearest.nearest_index[c];
+    if (f >= 0) demand[f]++;
+  }
+  std::vector<int> order(catalog);
+  for (int j = 0; j < catalog; ++j) order[j] = j;
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    if (demand[a] != demand[b]) return demand[a] > demand[b];
+    return a < b;
+  });
+  std::vector<int> selected(order.begin(), order.begin() + budget);
+  if (!CoverComponents(instance, selected)) return false;
+  const FastMatchResult match =
+      FastGreedyMatch(*instance.graph, instance.customers,
+                      instance.facility_nodes, instance.capacities, selected);
+  if (!match.all_assigned) return false;
+  solution->selected = std::move(selected);
+  solution->assignment = match.assignment;
+  solution->distances = match.distances;
+  solution->objective = match.total_cost;
+  solution->feasible = true;
+  solution->termination = Termination::kConverged;
+  // An answer that cannot be proven feasible is never served. The
+  // targeted strategy keeps the check sub-millisecond: per-customer
+  // early-exit searches instead of one full Dijkstra per facility.
+  VerifyOptions targeted;
+  targeted.targeted = true;
+  return VerifySolution(instance, *solution, targeted).ok;
+}
+
+// objective / (lower bound on any solution's objective: every customer
+// served by its `nearest` instance facility, with capacities and the
+// budget k relaxed away), shared by the degraded and fast tiers.
+double NearestFacilityQualityBound(const McfsInstance& instance,
+                                   double objective,
+                                   const MultiSourceResult& nearest) {
+  double lower = 0.0;
+  for (const NodeId c : instance.customers) {
+    const double d = nearest.distance[c];
+    if (std::isfinite(d)) lower += d;
+  }
+  if (objective <= lower) return 1.0;
+  // Degenerate: every customer co-located with a facility makes the
+  // relaxed bound 0 while capacity overflow can still force a positive
+  // objective. objective / 0 would be inf (JSON nulls it, comparisons
+  // and SLO accounting misread it) — report the defined sentinel
+  // instead, distinguishable from both real bounds (>= 1) and "no
+  // bound computed" (0).
+  if (lower <= 0.0) return kDegenerateQualityBound;
+  return objective / lower;
 }
 
 }  // namespace
@@ -196,13 +258,13 @@ std::shared_ptr<const SolverService::WarmState> SolverService::BuildWarmState(
 }
 
 void SolverService::PublishWarmState(std::shared_ptr<const WarmState> state) {
+  // Every publish is a new catalog (no-op updates never publish), even a
+  // restore that lands on the current epoch number: the cache goes.
   {
     std::lock_guard<std::mutex> lock(cache_mutex_);
-    if (cache_epoch_ != state->epoch) {
-      cache_.clear();
-      cache_order_.clear();
-      cache_epoch_ = state->epoch;
-    }
+    cache_.clear();
+    cache_order_.clear();
+    cache_epoch_ = state->epoch;
   }
   const double build_seconds = state->build_seconds;
   const uint64_t epoch = state->epoch;
@@ -222,41 +284,8 @@ SolverService::SnapshotWarmState() const {
   return warm_state_;
 }
 
-int SolverService::MarkDirty(const std::vector<uint8_t>& stream_dirty,
-                             const std::vector<uint8_t>& match_dirty) {
-  const size_t size = std::max(stream_dirty.size(), match_dirty.size());
-  if (resolve_.stream_dirty.size() < size) {
-    resolve_.stream_dirty.resize(size, 0);
-    resolve_.match_dirty.resize(size, 0);
-  }
-  int newly = 0;
-  for (size_t g = 0; g < size; ++g) {
-    if (g < stream_dirty.size() && stream_dirty[g] != 0 &&
-        resolve_.stream_dirty[g] == 0) {
-      resolve_.stream_dirty[g] = 1;
-      ++newly;
-    }
-    if (g < match_dirty.size() && match_dirty[g] != 0 &&
-        resolve_.match_dirty[g] == 0) {
-      resolve_.match_dirty[g] = 1;
-      ++newly;
-    }
-  }
-  if (newly > 0) {
-    MCFS_COUNT("resolve/components_dirtied", newly);
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    stats_.resolve_components_dirtied += newly;
-  }
-  return newly;
-}
-
 Status SolverService::UpdateCapacities(std::vector<int> capacities) {
-  // Serialized read-validate-build-publish: two concurrent updates must
-  // not read the same epoch and publish twins. resolve_mutex_ is taken
-  // second (the service-wide lock order) so the dirty bits and the warm
-  // state move together.
-  std::lock_guard<std::mutex> update_lock(update_mutex_);
-  std::lock_guard<std::mutex> resolve_lock(resolve_mutex_);
+  std::lock_guard<std::mutex> lock(resolve_mutex_);
   std::shared_ptr<const WarmState> warm = SnapshotWarmState();
   if (capacities.size() != warm->facility_nodes.size()) {
     return InvalidInputError(
@@ -264,46 +293,18 @@ Status SolverService::UpdateCapacities(std::vector<int> capacities) {
         " entries for a catalog of " +
         std::to_string(warm->facility_nodes.size()));
   }
-  for (size_t j = 0; j < capacities.size(); ++j) {
-    if (capacities[j] < 0) {
-      return InvalidInputError("negative capacity " +
-                               std::to_string(capacities[j]) + " (facility " +
-                               std::to_string(j) + ")");
-    }
-  }
-  if (capacities == warm->capacities) {
-    // No-op delta: the state is already exactly this. Keep the epoch —
-    // and with it the response cache and the warm-resolve seed.
-    MCFS_COUNT("resolve/noop_updates", 1);
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    stats_.resolve_noop_updates++;
-    return OkStatus();
-  }
-  // Capacity increases relax the matching problem: the resumed matching
-  // could no longer be optimal in those components (decreases only shed
-  // overflow, which the resume handles in place).
-  std::vector<uint8_t> match_dirty(warm->components.num_components, 0);
-  for (size_t j = 0; j < capacities.size(); ++j) {
-    if (capacities[j] > warm->capacities[j]) {
-      match_dirty[warm->components.component_of[warm->facility_nodes[j]]] = 1;
-    }
-  }
-  MarkDirty({}, match_dirty);
-  std::vector<NodeId> nodes = warm->facility_nodes;
-  PublishWarmState(BuildWarmState(warm->epoch + 1, std::move(nodes),
-                                  std::move(capacities)));
-  {
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    stats_.resolve_updates++;
-  }
-  return OkStatus();
+  return ReplaceCatalogLocked(warm->facility_nodes, std::move(capacities));
 }
 
 Status SolverService::UpdateCandidates(std::vector<NodeId> facility_nodes,
                                        std::vector<int> capacities) {
-  std::lock_guard<std::mutex> update_lock(update_mutex_);
-  std::lock_guard<std::mutex> resolve_lock(resolve_mutex_);
-  std::shared_ptr<const WarmState> warm = SnapshotWarmState();
+  std::lock_guard<std::mutex> lock(resolve_mutex_);
+  return ReplaceCatalogLocked(std::move(facility_nodes),
+                              std::move(capacities));
+}
+
+Status SolverService::ReplaceCatalogLocked(std::vector<NodeId> facility_nodes,
+                                           std::vector<int> capacities) {
   if (facility_nodes.size() != capacities.size()) {
     return InvalidInputError(
         "catalog has " + std::to_string(facility_nodes.size()) +
@@ -332,46 +333,14 @@ Status SolverService::UpdateCandidates(std::vector<NodeId> facility_nodes,
                                std::to_string(j) + ")");
     }
   }
-  if (facility_nodes == warm->facility_nodes &&
-      capacities == warm->capacities) {
-    MCFS_COUNT("resolve/noop_updates", 1);
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    stats_.resolve_noop_updates++;
-    return OkStatus();
-  }
-  // Added candidates invalidate their component's discovery prefixes
-  // (the new facility can appear mid-prefix) and matches; capacity
-  // increases on persisting nodes invalidate matches only.
-  std::vector<uint8_t> stream_dirty(warm->components.num_components, 0);
-  std::vector<uint8_t> match_dirty(warm->components.num_components, 0);
-  for (size_t j = 0; j < facility_nodes.size(); ++j) {
-    const NodeId node = facility_nodes[j];
-    const int old_index =
-        node < static_cast<NodeId>(warm->facility_index_of_node.size())
-            ? warm->facility_index_of_node[node]
-            : -1;
-    const int g = warm->components.component_of[node];
-    if (old_index < 0) {
-      stream_dirty[g] = 1;
-      match_dirty[g] = 1;
-    } else if (capacities[j] > warm->capacities[old_index]) {
-      match_dirty[g] = 1;
-    }
-  }
-  MarkDirty(stream_dirty, match_dirty);
-  PublishWarmState(BuildWarmState(warm->epoch + 1, std::move(facility_nodes),
-                                  std::move(capacities)));
-  {
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    stats_.resolve_updates++;
-  }
+  CommitLocked(*SnapshotWarmState(), std::move(facility_nodes),
+               std::move(capacities), tracked_customers_, 0);
   return OkStatus();
 }
 
 StatusOr<UpdateResult> SolverService::ApplyUpdate(
     const UpdateRequest& update) {
-  std::lock_guard<std::mutex> update_lock(update_mutex_);
-  std::lock_guard<std::mutex> resolve_lock(resolve_mutex_);
+  std::lock_guard<std::mutex> lock(resolve_mutex_);
   std::shared_ptr<const WarmState> warm = SnapshotWarmState();
   const int num_nodes = graph_->NumNodes();
 
@@ -381,8 +350,6 @@ StatusOr<UpdateResult> SolverService::ApplyUpdate(
   std::vector<int> caps = warm->capacities;
   std::vector<int> index_of_node = warm->facility_index_of_node;
   std::vector<NodeId> tracked = tracked_customers_;
-  std::vector<uint8_t> stream_dirty(warm->components.num_components, 0);
-  std::vector<uint8_t> match_dirty(warm->components.num_components, 0);
 
   for (size_t op_index = 0; op_index < update.ops.size(); ++op_index) {
     const UpdateOp& op = update.ops[op_index];
@@ -394,7 +361,6 @@ StatusOr<UpdateResult> SolverService::ApplyUpdate(
       return op_error("node " + std::to_string(op.node) +
                       " out of range [0, " + std::to_string(num_nodes) + ")");
     }
-    const int g = warm->components.component_of[op.node];
     switch (op.kind) {
       case UpdateKind::kCapacityDelta: {
         const int j = index_of_node[op.node];
@@ -409,7 +375,6 @@ StatusOr<UpdateResult> SolverService::ApplyUpdate(
                           std::to_string(op.node) + " would drop to " +
                           std::to_string(next));
         }
-        if (op.capacity_delta > 0) match_dirty[g] = 1;
         caps[j] = next;
         break;
       }
@@ -429,8 +394,6 @@ StatusOr<UpdateResult> SolverService::ApplyUpdate(
         index_of_node[op.node] = static_cast<int>(nodes.size());
         nodes.push_back(op.node);
         caps.push_back(op.capacity_delta);
-        stream_dirty[g] = 1;
-        match_dirty[g] = 1;
         break;
       }
       case UpdateKind::kCandidateRemove: {
@@ -476,29 +439,67 @@ StatusOr<UpdateResult> SolverService::ApplyUpdate(
 
   MCFS_COUNT("resolve/deltas_classified",
              static_cast<int64_t>(update.ops.size()));
+  return CommitLocked(*warm, std::move(nodes), std::move(caps),
+                      std::move(tracked),
+                      static_cast<int>(update.ops.size()));
+}
 
+UpdateResult SolverService::CommitLocked(const WarmState& warm,
+                                         std::vector<NodeId> facility_nodes,
+                                         std::vector<int> capacities,
+                                         std::vector<NodeId> tracked,
+                                         int ops_applied) {
   UpdateResult out;
-  out.ops_applied = static_cast<int>(update.ops.size());
-  const bool catalog_changed =
-      nodes != warm->facility_nodes || caps != warm->capacities;
-  const bool tracked_changed = tracked != tracked_customers_;
-  if (!catalog_changed && !tracked_changed) {
+  out.epoch = warm.epoch;
+  out.ops_applied = ops_applied;
+  const bool catalog_changed = facility_nodes != warm.facility_nodes ||
+                               capacities != warm.capacities;
+  if (!catalog_changed && tracked == tracked_customers_) {
+    // No-op delta: the state is already exactly this. Keep the epoch —
+    // and with it the response cache and the warm-resolve seed.
     out.noop = true;
-    out.epoch = warm->epoch;
     MCFS_COUNT("resolve/noop_updates", 1);
     std::lock_guard<std::mutex> lock(report_mutex_);
     stats_.resolve_noop_updates++;
-    stats_.resolve_ops_applied += out.ops_applied;
+    stats_.resolve_ops_applied += ops_applied;
     return out;
   }
-  out.components_dirtied = MarkDirty(stream_dirty, match_dirty);
+  // Dirty bits from the node-keyed old -> new catalog diff. A node new
+  // to the catalog can appear anywhere inside its component's discovery
+  // prefixes (streams and matches dirty); a capacity increase relaxes
+  // the matching, so the resumed one may no longer be optimal (matches
+  // dirty). Removals and decreases only shed state, which the resume
+  // filters in place. Bits accumulate until a resolve exports a seed.
+  const size_t num_components =
+      static_cast<size_t>(warm.components.num_components);
+  if (resolve_.stream_dirty.size() < num_components) {
+    resolve_.stream_dirty.resize(num_components, 0);
+    resolve_.match_dirty.resize(num_components, 0);
+  }
+  const auto mark = [&out](std::vector<uint8_t>& bits, int g) {
+    if (bits[g] == 0) {
+      bits[g] = 1;
+      out.components_dirtied++;
+    }
+  };
+  for (size_t j = 0; j < facility_nodes.size(); ++j) {
+    const int old_index = warm.facility_index_of_node[facility_nodes[j]];
+    const int g = warm.components.component_of[facility_nodes[j]];
+    if (old_index < 0) {
+      mark(resolve_.stream_dirty, g);
+      mark(resolve_.match_dirty, g);
+    } else if (capacities[j] > warm.capacities[old_index]) {
+      mark(resolve_.match_dirty, g);
+    }
+  }
+  if (out.components_dirtied > 0) {
+    MCFS_COUNT("resolve/components_dirtied", out.components_dirtied);
+  }
   if (catalog_changed) {
-    PublishWarmState(
-        BuildWarmState(warm->epoch + 1, std::move(nodes), std::move(caps)));
     out.epoch_bumped = true;
-    out.epoch = warm->epoch + 1;
-  } else {
-    out.epoch = warm->epoch;
+    out.epoch = warm.epoch + 1;
+    PublishWarmState(BuildWarmState(out.epoch, std::move(facility_nodes),
+                                    std::move(capacities)));
   }
   tracked_customers_ = std::move(tracked);
   tracked_count_.store(static_cast<int64_t>(tracked_customers_.size()),
@@ -506,7 +507,8 @@ StatusOr<UpdateResult> SolverService::ApplyUpdate(
   {
     std::lock_guard<std::mutex> lock(report_mutex_);
     stats_.resolve_updates++;
-    stats_.resolve_ops_applied += out.ops_applied;
+    stats_.resolve_ops_applied += ops_applied;
+    stats_.resolve_components_dirtied += out.components_dirtied;
   }
   return out;
 }
@@ -518,13 +520,8 @@ uint64_t SolverService::epoch() const {
 
 McfsInstance SolverService::TrackedInstance(int k) const {
   std::lock_guard<std::mutex> resolve_lock(resolve_mutex_);
-  std::shared_ptr<const WarmState> warm = SnapshotWarmState();
   McfsInstance instance;
-  instance.graph = graph_;
-  instance.customers = tracked_customers_;
-  instance.facility_nodes = warm->facility_nodes;
-  instance.capacities = warm->capacities;
-  instance.k = k;
+  BuildInstance(*SnapshotWarmState(), tracked_customers_, k, {}, &instance);
   return instance;
 }
 
@@ -549,8 +546,7 @@ SolveResponse SolverService::ResolveTracked(int k, int64_t deadline_ms,
   });
   // Held for the whole solve: the seed, the dirty bits, and the tracked
   // population must not move under a resolve, and concurrent resolves
-  // would race on the exported seed. Updates queue behind (lock order:
-  // update_mutex_ -> resolve_mutex_, and we take only the latter).
+  // would race on the exported seed. Updates queue behind it.
   std::lock_guard<std::mutex> resolve_lock(resolve_mutex_);
   std::shared_ptr<const WarmState> warm = SnapshotWarmState();
 
@@ -559,30 +555,14 @@ SolveResponse SolverService::ResolveTracked(int k, int64_t deadline_ms,
   response.trace_id = trace_id;
 
   McfsInstance instance;
-  instance.graph = graph_;
-  instance.customers = tracked_customers_;
-  instance.facility_nodes = warm->facility_nodes;
-  instance.capacities = warm->capacities;
-  instance.k = k;
-
-  WallTimer preprocess_timer;
-  if (!WarmValidate(*warm, instance, {})) {
-    // Invalid or infeasible state for this k: report the canonical cold
-    // diagnosis and keep the seed — a later delta can restore validity.
-    response.status = ValidateInstance(instance);
-    MCFS_CHECK(!response.status.ok())
-        << "warm validation rejected an instance the cold path accepts";
-    if (response.status.code() == StatusCode::kInfeasible) {
+  BuildInstance(*warm, tracked_customers_, k, {}, &instance);
+  if (SettledBeforeSolve(*warm, instance, {}, &response)) {
+    if (response.status.ok()) {
+      resolve_.seed.reset();  // m() == 0: nothing to resume from next time
+    } else if (response.status.code() == StatusCode::kInfeasible) {
+      // The seed is kept: a later delta can restore validity.
       RecordPostmortem("infeasible", trace_id, warm->epoch);
     }
-    response.preprocess_seconds = preprocess_timer.Seconds();
-    return response;
-  }
-  response.preprocess_seconds = preprocess_timer.Seconds();
-
-  if (instance.m() == 0) {
-    response.solution.feasible = true;
-    resolve_.seed.reset();  // nothing to resume from next time
     return response;
   }
 
@@ -629,31 +609,30 @@ SolveResponse SolverService::ResolveTracked(int k, int64_t deadline_ms,
     // whatever options_.verify says. A bad verdict falls back to cold.
     const VerifyReport verdict = VerifySolution(instance, result.solution);
     response.verify_ran = true;
-    bool verify_ok = verdict.ok;
-    if (verify_ok && options_.inject_verify_failures > 0) {
-      // Fault injection (tests/CI): treat this verdict as a rejection so
-      // the whole failure path — postmortem capture + cold fallback —
-      // runs deterministically. The response stays correct.
-      options_.inject_verify_failures--;
-      MCFS_RECORD("resolve/inject_verify_failure",
+    response.verify_ok = verdict.ok;
+    if (options_.fault_plan != nullptr &&
+        options_.fault_plan->ShouldFire(FaultKind::kVerifyReject)) {
+      // Treat this verdict as a rejection so the whole failure path —
+      // postmortem capture + cold fallback — runs deterministically.
+      // The response stays correct.
+      response.verify_ok = false;
+      MCFS_RECORD("resolve/fault_verify_reject",
                   static_cast<int64_t>(trace_id), 0);
-      verify_ok = false;
+      std::lock_guard<std::mutex> lock(report_mutex_);
+      stats_.faults_injected++;
     }
-    response.verify_ok = verify_ok;
-    if (!verify_ok) {
+    if (!response.verify_ok) {
       MCFS_COUNT("resolve/verify_rejections", 1);
       {
         std::lock_guard<std::mutex> lock(report_mutex_);
         stats_.resolve_verify_rejections++;
       }
       RecordPostmortem("verify_rejection", trace_id, warm->epoch);
-      WmaOptions cold = options_.wma;
-      cold.deadline_ms = deadline_ms;
-      cold.cancel = nullptr;
-      cold.export_warm_seed = true;
-      cold.trace_id = trace_id;
+      wma.warm_seed = nullptr;
+      wma.warm_stream_invalid.clear();
+      wma.warm_match_invalid.clear();
       WallTimer cold_timer;
-      result = RunWma(instance, cold);
+      result = RunWma(instance, wma);
       response.solve_seconds += cold_timer.Seconds();
       const VerifyReport cold_verdict =
           VerifySolution(instance, result.solution);
@@ -708,9 +687,8 @@ SolveResponse SolverService::ResolveTracked(int k, int64_t deadline_ms,
 
 Status SolverService::CheckpointTo(const std::string& path) {
   MCFS_SPAN("serve/checkpoint_save");
-  // Lock order: update -> resolve. The catalog, tracked population, and
-  // seed move together; serving continues around the snapshot.
-  std::lock_guard<std::mutex> update_lock(update_mutex_);
+  // The catalog, tracked population, and seed move together under the
+  // write lock; serving continues around the snapshot.
   std::lock_guard<std::mutex> resolve_lock(resolve_mutex_);
   if (options_.fault_plan != nullptr &&
       options_.fault_plan->ShouldFire(FaultKind::kCheckpointIo)) {
@@ -755,7 +733,6 @@ Status SolverService::CheckpointTo(const std::string& path) {
 
 Status SolverService::RestoreFrom(const std::string& path) {
   MCFS_SPAN("serve/checkpoint_restore");
-  std::lock_guard<std::mutex> update_lock(update_mutex_);
   std::lock_guard<std::mutex> resolve_lock(resolve_mutex_);
   const auto fail = [this](Status status) {
     std::lock_guard<std::mutex> lock(report_mutex_);
@@ -769,15 +746,16 @@ Status SolverService::RestoreFrom(const std::string& path) {
   // checkpoint from a different network is corruption from this
   // service's point of view, and BuildWarmState would CHECK-crash on it.
   const int num_nodes = graph_->NumNodes();
+  const auto foreign = [&](const char* what, NodeId node) {
+    return fail(IoError(
+        std::string("checkpoint does not match the service graph: ") + what +
+        " node " + std::to_string(node) + " out of range [0, " +
+        std::to_string(num_nodes) + ")"));
+  };
   std::vector<uint8_t> seen(static_cast<size_t>(num_nodes), 0);
   for (size_t j = 0; j < checkpoint.facility_nodes.size(); ++j) {
     const NodeId node = checkpoint.facility_nodes[j];
-    if (node < 0 || node >= num_nodes) {
-      return fail(IoError("checkpoint does not match the service graph: "
-                          "facility node " +
-                          std::to_string(node) + " out of range [0, " +
-                          std::to_string(num_nodes) + ")"));
-    }
+    if (node < 0 || node >= num_nodes) return foreign("facility", node);
     if (seen[node] != 0) {
       return fail(IoError(
           "corrupted checkpoint: duplicate facility node " +
@@ -791,11 +769,25 @@ Status SolverService::RestoreFrom(const std::string& path) {
     }
   }
   for (const NodeId node : checkpoint.tracked_customers) {
-    if (node < 0 || node >= num_nodes) {
-      return fail(IoError("checkpoint does not match the service graph: "
-                          "tracked customer node " +
-                          std::to_string(node) + " out of range [0, " +
-                          std::to_string(num_nodes) + ")"));
+    if (node < 0 || node >= num_nodes) return foreign("tracked customer", node);
+  }
+  // The warm seed is node-keyed too, and ResolveTracked indexes the live
+  // component labeling with its customer nodes; the matcher maps its
+  // facility nodes the same way.
+  for (const WarmSeed* part :
+       {&checkpoint.seed.trajectory, &checkpoint.seed.final_assign}) {
+    std::vector<NodeId> seed_nodes = part->facility_nodes;
+    for (const WarmSeedCustomer& customer : part->customers) {
+      seed_nodes.push_back(customer.node);
+      for (const WarmSeedEdge& edge : customer.edges) {
+        seed_nodes.push_back(edge.facility_node);
+      }
+      for (const WarmSeedEdge& edge : customer.buffered) {
+        seed_nodes.push_back(edge.facility_node);
+      }
+    }
+    for (const NodeId node : seed_nodes) {
+      if (node < 0 || node >= num_nodes) return foreign("warm seed", node);
     }
   }
   // Commit: republish the warm state at the checkpointed epoch (epoch
@@ -806,12 +798,6 @@ Status SolverService::RestoreFrom(const std::string& path) {
   PublishWarmState(BuildWarmState(checkpoint.epoch,
                                   std::move(checkpoint.facility_nodes),
                                   std::move(checkpoint.capacities)));
-  {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    cache_.clear();
-    cache_order_.clear();
-    cache_epoch_ = checkpoint.epoch;
-  }
   tracked_customers_ = std::move(checkpoint.tracked_customers);
   tracked_count_.store(static_cast<int64_t>(tracked_customers_.size()),
                        std::memory_order_relaxed);
@@ -885,9 +871,7 @@ std::shared_ptr<ResponseHandle> SolverService::Submit(SolveRequest request) {
       // already waiting is estimated to outlast this request's own
       // deadline, admitting it only burns a queue slot on a response
       // that will arrive dead. Reject now, with a drain-time hint.
-      const int64_t deadline_ms = request.deadline_ms > 0
-                                      ? request.deadline_ms
-                                      : options_.default_deadline_ms;
+      const int64_t deadline_ms = DeadlineMs(request);
       const double ewma =
           ewma_service_seconds_.load(std::memory_order_relaxed);
       if (!fast_path && deadline_ms > 0 && ewma > 0.0 && !queue_.empty()) {
@@ -907,7 +891,9 @@ std::shared_ptr<ResponseHandle> SolverService::Submit(SolveRequest request) {
       }
     }
   }
-  if (rejection != nullptr || !shed_reason.empty()) {
+  // Completes the handle with the typed kUnavailable rejection decided
+  // above (a shed when shed_reason is set).
+  const auto reject = [&] {
     const bool shed = !shed_reason.empty();
     if (shed) {
       MCFS_COUNT("serve/requests_shed", 1);
@@ -936,7 +922,8 @@ std::shared_ptr<ResponseHandle> SolverService::Submit(SolveRequest request) {
                    std::to_string(options_.queue_depth) + ")");
     handle->Complete(std::move(response));
     return handle;
-  }
+  };
+  if (rejection != nullptr || !shed_reason.empty()) return reject();
   MCFS_COUNT("serve/requests_admitted", 1);
   {
     std::lock_guard<std::mutex> lock(report_mutex_);
@@ -958,37 +945,20 @@ std::shared_ptr<ResponseHandle> SolverService::Submit(SolveRequest request) {
     std::lock_guard<std::mutex> lock(report_mutex_);
     stats_.fast_fallthroughs++;
   }
-  bool requeued = false;
-  stopped = false;
-  int64_t hint_ms = 0;
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     if (stop_) {
+      rejection = "service is shut down";
       stopped = true;
     } else if (static_cast<int>(queue_.size()) >= options_.queue_depth) {
-      hint_ms = RetryAfterMs(queue_.size());
+      rejection = "admission queue full";
+      retry_after_ms = RetryAfterMs(queue_.size());
     } else {
       queue_.push_back(std::move(pending));
-      requeued = true;
     }
   }
-  if (requeued) {
-    queue_cv_.notify_one();
-    return handle;
-  }
-  MCFS_COUNT("serve/requests_rejected", 1);
-  {
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    stats_.requests_rejected++;
-  }
-  SolveResponse response;
-  response.trace_id = trace_id;
-  response.retry_after_ms = hint_ms;
-  response.shutdown = stopped;
-  response.status = UnavailableError(
-      std::string(stopped ? "service is shut down" : "admission queue full") +
-      " (queue_depth = " + std::to_string(options_.queue_depth) + ")");
-  handle->Complete(std::move(response));
+  if (rejection != nullptr) return reject();
+  queue_cv_.notify_one();
   return handle;
 }
 
@@ -1115,6 +1085,104 @@ bool SolverService::WarmValidate(const WarmState& warm,
   return required_facilities <= instance.k;
 }
 
+int64_t SolverService::DeadlineMs(const SolveRequest& request) const {
+  return request.deadline_ms > 0 ? request.deadline_ms
+                                 : options_.default_deadline_ms;
+}
+
+bool SolverService::Cacheable(const SolveRequest& request) const {
+  return options_.cache_capacity > 0 && DeadlineMs(request) == 0 &&
+         request.cancel == nullptr;
+}
+
+Status SolverService::BuildInstance(const WarmState& warm,
+                                    const std::vector<NodeId>& customers,
+                                    int k, const std::vector<int>& subset,
+                                    McfsInstance* instance) const {
+  instance->graph = graph_;
+  instance->customers = customers;
+  instance->k = k;
+  if (subset.empty()) {
+    instance->facility_nodes = warm.facility_nodes;
+    instance->capacities = warm.capacities;
+    return OkStatus();
+  }
+  const int catalog_size = static_cast<int>(warm.facility_nodes.size());
+  instance->facility_nodes.reserve(subset.size());
+  instance->capacities.reserve(subset.size());
+  for (const int idx : subset) {
+    if (idx < 0 || idx >= catalog_size) {
+      return InvalidInputError("facility subset index out of range [0, " +
+                               std::to_string(catalog_size) + ")");
+    }
+    instance->facility_nodes.push_back(warm.facility_nodes[idx]);
+    instance->capacities.push_back(warm.capacities[idx]);
+  }
+  return OkStatus();
+}
+
+SolverService::CacheKey SolverService::MakeCacheKey(
+    const SolveRequest& request, const McfsInstance& instance) const {
+  MatchShape shape;
+  shape.customers = static_cast<int64_t>(instance.m());
+  shape.facilities = static_cast<int64_t>(instance.l());
+  for (const int c : instance.capacities) shape.total_capacity += c;
+  return CacheKey{request.customers, request.k, request.facility_subset,
+                  ResolveMatcherBackend(options_.wma.matcher, shape)};
+}
+
+bool SolverService::SettledBeforeSolve(const WarmState& warm,
+                                       const McfsInstance& instance,
+                                       const std::vector<int>& subset,
+                                       SolveResponse* response) const {
+  WallTimer preprocess_timer;
+  if (!WarmValidate(warm, instance, subset)) {
+    response->status = ValidateInstance(instance);
+    MCFS_CHECK(!response->status.ok())
+        << "warm validation rejected an instance the cold path accepts";
+  }
+  response->preprocess_seconds = preprocess_timer.Seconds();
+  if (!response->status.ok()) return true;
+  if (instance.m() == 0) {
+    // SolveWma's trivial shortcut, replicated exactly.
+    response->solution.feasible = true;
+    return true;
+  }
+  return false;
+}
+
+bool SolverService::FillFromCacheLocked(const CacheKey& key, uint64_t epoch,
+                                        SolveResponse* response) const {
+  if (cache_epoch_ != epoch) return false;
+  const auto it = cache_.find(key);
+  if (it == cache_.end()) return false;
+  const CacheEntry& entry = it->second;
+  response->solution = entry.solution;
+  response->stats = entry.stats;
+  response->verify_ran = entry.verify_ran;
+  response->verify_ok = entry.verify_ok;
+  // Hits carry the tier of the entry they hit: an upgraded-in-place
+  // entry serves "full" (bound cleared), a still-awaiting-refinement
+  // entry serves "fast" with its recorded bound.
+  response->tier = entry.tier;
+  response->quality_bound = entry.quality_bound;
+  response->cache_hit = true;
+  return true;
+}
+
+bool SolverService::InsertCacheLocked(uint64_t epoch, const CacheKey& key,
+                                      CacheEntry& entry) {
+  if (cache_epoch_ != epoch) return false;
+  // try_emplace leaves `entry` intact when the key is taken.
+  if (!cache_.try_emplace(key, std::move(entry)).second) return false;
+  cache_order_.push_back(key);
+  while (static_cast<int>(cache_.size()) > options_.cache_capacity) {
+    cache_.erase(cache_order_.front());
+    cache_order_.pop_front();
+  }
+  return true;
+}
+
 void SolverService::Execute(PendingRequest& pending) {
   const SolveRequest& request = pending.request;
   // The trace context is installed before anything measurable happens:
@@ -1139,78 +1207,23 @@ void SolverService::Execute(PendingRequest& pending) {
   response.trace_id = request.trace_id;
   response.queue_seconds = NowSeconds() - pending.admitted_at;
 
-  const int64_t deadline_ms = request.deadline_ms > 0
-                                  ? request.deadline_ms
-                                  : options_.default_deadline_ms;
-  const bool cacheable = options_.cache_capacity > 0 && deadline_ms == 0 &&
-                         request.cancel == nullptr;
-
   // Materialize the instance view this request describes. The response
   // must be bit-identical to SolveWma on exactly this instance.
   McfsInstance instance;
-  instance.graph = graph_;
-  instance.customers = request.customers;
-  instance.k = request.k;
-  bool subset_in_range = true;
-  const int catalog_size = static_cast<int>(warm->facility_nodes.size());
-  if (request.facility_subset.empty()) {
-    instance.facility_nodes = warm->facility_nodes;
-    instance.capacities = warm->capacities;
-  } else {
-    instance.facility_nodes.reserve(request.facility_subset.size());
-    instance.capacities.reserve(request.facility_subset.size());
-    for (const int idx : request.facility_subset) {
-      if (idx < 0 || idx >= catalog_size) {
-        subset_in_range = false;
-        break;
-      }
-      instance.facility_nodes.push_back(warm->facility_nodes[idx]);
-      instance.capacities.push_back(warm->capacities[idx]);
-    }
-  }
-  if (!subset_in_range) {
-    // A service-level defect: the subset indexes the catalog, a concept
-    // SolveWma never sees, so this error is the service's own.
-    response.status = InvalidInputError(
-        "facility subset index out of range [0, " +
-        std::to_string(catalog_size) + ")");
+  response.status = BuildInstance(*warm, request.customers, request.k,
+                                  request.facility_subset, &instance);
+  if (!response.status.ok()) {
     FinishRequest(pending, std::move(response));
     return;
   }
-
-  // Resolve the engine for this request's shape once: the same resolved
-  // kind keys the response cache and runs the solve, so an auto-picked
-  // engine never serves a cache entry another engine produced.
-  MatchShape request_shape;
-  request_shape.customers = static_cast<int64_t>(instance.m());
-  request_shape.facilities = static_cast<int64_t>(instance.l());
-  for (const int c : instance.capacities) request_shape.total_capacity += c;
-  const MatcherBackendKind request_matcher =
-      ResolveMatcherBackend(options_.wma.matcher, request_shape);
+  const CacheKey key = MakeCacheKey(request, instance);
+  const bool cacheable = Cacheable(request);
 
   if (cacheable) {
     bool hit = false;
     {
       std::lock_guard<std::mutex> lock(cache_mutex_);
-      if (cache_epoch_ == warm->epoch) {
-        const auto it = cache_.find(CacheKey{request.customers, request.k,
-                                             request.facility_subset,
-                                             request_matcher});
-        if (it != cache_.end()) {
-          const CacheEntry& entry = it->second;
-          response.solution = entry.solution;
-          response.stats = entry.stats;
-          response.verify_ran = entry.verify_ran;
-          response.verify_ok = entry.verify_ok;
-          // Hits carry the tier of the entry they hit: an upgraded-in-
-          // place entry serves "full" (bound cleared), a still-awaiting-
-          // refinement entry serves "fast" with its recorded bound.
-          response.tier = entry.tier;
-          response.quality_bound = entry.quality_bound;
-          response.cache_hit = true;
-          hit = true;
-        }
-      }
+      hit = FillFromCacheLocked(key, warm->epoch, &response);
     }
     // Completion happens outside cache_mutex_: FinishRequest fulfills
     // the handle, and a woken client can preempt this thread (single-
@@ -1223,23 +1236,8 @@ void SolverService::Execute(PendingRequest& pending) {
     }
   }
 
-  WallTimer preprocess_timer;
-  if (!WarmValidate(*warm, instance, request.facility_subset)) {
-    // The warm verdict says SolveWma would reject; re-derive the
-    // canonical diagnosis on the cold path so the message matches the
-    // direct call byte for byte.
-    response.status = ValidateInstance(instance);
-    MCFS_CHECK(!response.status.ok())
-        << "warm validation rejected an instance the cold path accepts";
-    response.preprocess_seconds = preprocess_timer.Seconds();
-    FinishRequest(pending, std::move(response));
-    return;
-  }
-  response.preprocess_seconds = preprocess_timer.Seconds();
-
-  if (instance.m() == 0) {
-    // SolveWma's trivial shortcut, replicated exactly.
-    response.solution.feasible = true;
+  if (SettledBeforeSolve(*warm, instance, request.facility_subset,
+                         &response)) {
     FinishRequest(pending, std::move(response));
     return;
   }
@@ -1247,10 +1245,10 @@ void SolverService::Execute(PendingRequest& pending) {
   // options_.wma.deadline is copied through deliberately (each copy has
   // its own poll budget) — that is how tests plant AfterPolls expiries.
   WmaOptions wma = options_.wma;
-  wma.deadline_ms = deadline_ms;
+  wma.deadline_ms = DeadlineMs(request);
   wma.cancel = request.cancel;
   wma.trace_id = request.trace_id;
-  wma.matcher = request_matcher;
+  wma.matcher = key.matcher;
   bool fault_deadline = false;
   if (options_.fault_plan != nullptr &&
       options_.fault_plan->ShouldFire(FaultKind::kDeadlineCut)) {
@@ -1305,7 +1303,7 @@ void SolverService::Execute(PendingRequest& pending) {
   if (request.allow_degraded &&
       ((response.verify_ran && !response.verify_ok) ||
        response.solution.termination == Termination::kDeadline)) {
-    DegradeResponse(instance, request_matcher, warm->epoch,
+    DegradeResponse(instance, warm->epoch,
                     response.verify_ran && !response.verify_ok,
                     request.facility_subset.empty()
                         ? &warm->nearest_facility
@@ -1315,112 +1313,52 @@ void SolverService::Execute(PendingRequest& pending) {
 
   if (cacheable && response.tier == "full" &&
       response.solution.termination == Termination::kConverged) {
-    bool overtook_fast = false;
     // Built outside the lock: this thread may be running at
     // background_nice, and a preemption inside cache_mutex_ would
     // convoy the inline fast tier behind a starved holder.
-    CacheKey key{request.customers, request.k, request.facility_subset,
-                 request_matcher};
     CacheEntry full_entry{response.solution, response.stats,
                           response.verify_ran, response.verify_ok, "full",
                           0.0, request.trace_id};
+    bool inserted = false;
     {
       std::lock_guard<std::mutex> lock(cache_mutex_);
-      if (cache_epoch_ == warm->epoch) {
-        // try_emplace keeps full_entry intact when the key is taken, so
-        // the upgrade below can move from it instead of re-copying the
-        // solution while holding the lock.
-        const auto inserted = cache_.try_emplace(key, std::move(full_entry));
-        if (inserted.second) {
-          cache_order_.push_back(std::move(key));
-          while (static_cast<int>(cache_.size()) > options_.cache_capacity) {
-            cache_.erase(cache_order_.front());
-            cache_order_.pop_front();
-          }
-        } else if (inserted.first->second.tier == "fast") {
-          // A queued full solve on the same identity overtook the
-          // background refinement: upgrade in place now (same key, same
-          // epoch, planting trace id kept) — the refiner will find the
-          // entry already converged and discard its task.
-          CacheEntry& entry = inserted.first->second;
-          const uint64_t planting_trace = entry.trace_id;
-          entry = std::move(full_entry);
-          entry.trace_id = planting_trace;
-          overtook_fast = true;
-        }
-      }
+      inserted = InsertCacheLocked(warm->epoch, key, full_entry);
     }
-    if (overtook_fast) {
-      MCFS_COUNT("serve/tier_upgrades", 1);
-      MCFS_RECORD("serve/cache_upgrade",
-                  static_cast<int64_t>(request.trace_id),
-                  static_cast<int64_t>(warm->epoch));
-      std::lock_guard<std::mutex> lock(report_mutex_);
-      stats_.refine_upgrades++;
+    // A queued full solve on the same identity overtook the background
+    // refinement: upgrade in place now — the refiner will find the
+    // entry already converged and discard its task.
+    if (!inserted) {
+      UpgradeFastEntry(warm->epoch, key, full_entry, request.trace_id);
     }
   }
 
   FinishRequest(pending, std::move(response));
 }
 
-McfsSolution SolverService::DegradedFallback(const McfsInstance& instance,
-                                             MatcherBackendKind matcher) const {
-  MCFS_SPAN("serve/degraded_fallback");
-  if (instance.graph->has_coordinates()) {
-    return RunHilbertBaseline(instance, matcher);
-  }
-  GreedyKMedianOptions greedy;
-  greedy.matcher = matcher;
-  return RunGreedyKMedian(instance, greedy);
-}
-
-double SolverService::NearestFacilityQualityBound(
-    const McfsInstance& instance, double objective,
-    const MultiSourceResult* nearest) const {
-  // Lower bound on any solution's objective: every customer served by
-  // its nearest instance facility, with capacities and the budget k
-  // relaxed away. Full-catalog callers pass the epoch's precomputed
-  // multi-source result; subset callers pay one MultiSourceDijkstra.
-  MultiSourceResult computed;
-  if (nearest == nullptr) {
-    computed = MultiSourceDijkstra(*instance.graph, instance.facility_nodes);
-    nearest = &computed;
-  }
-  double lower = 0.0;
-  for (const NodeId c : instance.customers) {
-    const double d = nearest->distance[c];
-    if (std::isfinite(d)) lower += d;
-  }
-  if (objective <= lower) return 1.0;
-  // Degenerate: every customer co-located with a facility makes the
-  // relaxed bound 0 while capacity overflow can still force a positive
-  // objective. objective / 0 would be inf (JSON nulls it, comparisons
-  // and SLO accounting misread it) — report the defined sentinel
-  // instead, distinguishable from both real bounds (>= 1) and "no
-  // bound computed" (0).
-  if (lower <= 0.0) return kDegenerateQualityBound;
-  return objective / lower;
-}
-
 void SolverService::DegradeResponse(const McfsInstance& instance,
-                                    MatcherBackendKind matcher,
                                     uint64_t epoch_at, bool rejected,
                                     const MultiSourceResult* nearest,
                                     SolveResponse* response) {
   MCFS_SPAN("serve/degrade");
+  MultiSourceResult subset_nearest;
+  if (nearest == nullptr) {
+    subset_nearest =
+        MultiSourceDijkstra(*instance.graph, instance.facility_nodes);
+    nearest = &subset_nearest;
+  }
   // Rung 1: the anytime best-so-far answer, which the caller already
   // ran through the independent verifier — unless that verdict (or an
   // injected rejection) marked it untrusted wholesale.
   bool synthesized = false;
   if (rejected || !response->solution.feasible) {
-    // Rung 2: synthesize a fresh feasible answer from the baseline and
-    // verify it from first principles. Degraded answers never serve
-    // unchecked.
+    // Rung 2: the instant responder's answer, verified from first
+    // principles. Degraded answers never serve unchecked.
+    MCFS_SPAN("serve/degraded_fallback");
     WallTimer fallback_timer;
-    McfsSolution fallback = DegradedFallback(instance, matcher);
+    McfsSolution fallback;
+    const bool answered = InstantAnswer(instance, *nearest, &fallback);
     response->solve_seconds += fallback_timer.Seconds();
-    const VerifyReport verdict = VerifySolution(instance, fallback);
-    if (!fallback.feasible || !verdict.ok) {
+    if (!answered) {
       // Ladder exhausted: fail closed with a typed status. A validated
       // feasible instance should never land here.
       response->status =
@@ -1440,7 +1378,7 @@ void SolverService::DegradeResponse(const McfsInstance& instance,
   response->verify_ran = true;
   response->verify_ok = true;
   response->quality_bound = NearestFacilityQualityBound(
-      instance, response->solution.objective, nearest);
+      instance, response->solution.objective, *nearest);
   RecordPostmortem(
       rejected ? "degraded_verify_rejection" : "degraded_deadline",
       response->trace_id, epoch_at);
@@ -1495,25 +1433,10 @@ bool SolverService::FastServe(PendingRequest& pending) {
   response.trace_id = request.trace_id;
   response.queue_seconds = NowSeconds() - pending.admitted_at;
 
-  const int64_t deadline_ms = request.deadline_ms > 0
-                                  ? request.deadline_ms
-                                  : options_.default_deadline_ms;
-  const bool cacheable = options_.cache_capacity > 0 && deadline_ms == 0 &&
-                         request.cancel == nullptr;
-
   McfsInstance instance;
-  instance.graph = graph_;
-  instance.customers = request.customers;
-  instance.k = request.k;
-  instance.facility_nodes = warm->facility_nodes;
-  instance.capacities = warm->capacities;
-
-  MatchShape request_shape;
-  request_shape.customers = static_cast<int64_t>(instance.m());
-  request_shape.facilities = static_cast<int64_t>(instance.l());
-  for (const int c : instance.capacities) request_shape.total_capacity += c;
-  const MatcherBackendKind request_matcher =
-      ResolveMatcherBackend(options_.wma.matcher, request_shape);
+  BuildInstance(*warm, request.customers, request.k, {}, &instance);
+  CacheKey key = MakeCacheKey(request, instance);
+  const bool cacheable = Cacheable(request);
 
   if (cacheable) {
     bool hit = false;
@@ -1522,22 +1445,8 @@ bool SolverService::FastServe(PendingRequest& pending) {
       // wait — recomputing a 0.5ms fast answer beats blocking behind a
       // possibly-descheduled background holder.
       std::unique_lock<std::mutex> lock(cache_mutex_, std::try_to_lock);
-      if (lock.owns_lock() && cache_epoch_ == warm->epoch) {
-        const auto it = cache_.find(CacheKey{request.customers, request.k,
-                                             request.facility_subset,
-                                             request_matcher});
-        if (it != cache_.end()) {
-          const CacheEntry& entry = it->second;
-          response.solution = entry.solution;
-          response.stats = entry.stats;
-          response.verify_ran = entry.verify_ran;
-          response.verify_ok = entry.verify_ok;
-          response.tier = entry.tier;
-          response.quality_bound = entry.quality_bound;
-          response.cache_hit = true;
-          hit = true;
-        }
-      }
+      hit = lock.owns_lock() &&
+            FillFromCacheLocked(key, warm->epoch, &response);
     }
     // Finish outside cache_mutex_ — same wake-preemption convoy hazard
     // as Execute's hit path; the fast tier is the one that pays for it.
@@ -1548,71 +1457,18 @@ bool SolverService::FastServe(PendingRequest& pending) {
     }
   }
 
-  WallTimer preprocess_timer;
-  if (!WarmValidate(*warm, instance, request.facility_subset)) {
-    // Definitive: the full path would reject with the same canonical
-    // status — no point burning a queue slot to find out.
-    response.status = ValidateInstance(instance);
-    MCFS_CHECK(!response.status.ok())
-        << "warm validation rejected an instance the cold path accepts";
-    response.preprocess_seconds = preprocess_timer.Seconds();
-    FinishRequest(pending, std::move(response));
-    return true;
-  }
-  response.preprocess_seconds = preprocess_timer.Seconds();
-
-  if (instance.m() == 0) {
-    // SolveWma's trivial shortcut, replicated exactly.
-    response.solution.feasible = true;
+  // A rejection here is definitive: the full path would reject with the
+  // same canonical status — no point burning a queue slot to find out.
+  if (SettledBeforeSolve(*warm, instance, {}, &response)) {
     FinishRequest(pending, std::move(response));
     return true;
   }
 
-  // Selection: demand-ranked top-k over the precomputed nearest map —
-  // each facility is scored by how many request customers it is nearest
-  // to (ties by catalog index, deterministic) — then component-coverage
-  // repair and the bounded-work greedy matcher.
+  // A fast answer that cannot be proven feasible is not served fast, it
+  // is solved for real.
   WallTimer solve_timer;
-  const int catalog = static_cast<int>(instance.l());
-  const int budget = std::min(request.k, catalog);
-  std::vector<int64_t> demand(catalog, 0);
-  for (const NodeId c : instance.customers) {
-    const int f = warm->nearest_facility.nearest_index[c];
-    if (f >= 0) demand[f]++;
-  }
-  std::vector<int> order(catalog);
-  for (int j = 0; j < catalog; ++j) order[j] = j;
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    if (demand[a] != demand[b]) return demand[a] > demand[b];
-    return a < b;
-  });
-  std::vector<int> selected(order.begin(), order.begin() + budget);
-  if (!CoverComponents(instance, selected)) {
-    retire();
-    return false;
-  }
-  const FastMatchResult match =
-      FastGreedyMatch(*graph_, instance.customers, instance.facility_nodes,
-                      instance.capacities, selected);
-  if (!match.all_assigned) {
-    retire();
-    return false;
-  }
   McfsSolution solution;
-  solution.selected = std::move(selected);
-  solution.assignment = match.assignment;
-  solution.distances = match.distances;
-  solution.objective = match.total_cost;
-  solution.feasible = true;
-  solution.termination = Termination::kConverged;
-  // Always verified from first principles — a fast answer that cannot
-  // be proven feasible is not served fast, it is solved for real. The
-  // targeted strategy keeps the check sub-millisecond: per-customer
-  // early-exit searches instead of one full Dijkstra per facility.
-  VerifyOptions fast_verify;
-  fast_verify.targeted = true;
-  const VerifyReport verdict = VerifySolution(instance, solution, fast_verify);
-  if (!verdict.ok) {
+  if (!InstantAnswer(instance, warm->nearest_facility, &solution)) {
     retire();
     return false;
   }
@@ -1621,15 +1477,13 @@ bool SolverService::FastServe(PendingRequest& pending) {
   response.verify_ok = true;
   response.tier = "fast";
   response.quality_bound = NearestFacilityQualityBound(
-      instance, solution.objective, &warm->nearest_facility);
+      instance, solution.objective, warm->nearest_facility);
   response.solution = std::move(solution);
 
   // Plant the cache entry at tier "fast" and queue its background
   // refinement (same key, same epoch, same trace id). refine == false
   // answers are final and never cached, mirroring degraded answers.
   if (cacheable && request.refine) {
-    CacheKey key{request.customers, request.k, request.facility_subset,
-                 request_matcher};
     // The entry is built (solution copied) before taking the lock so
     // the critical section is a map move-insert, and the acquisition is
     // a try-lock: losing a plant to contention only defers caching and
@@ -1640,17 +1494,8 @@ bool SolverService::FastServe(PendingRequest& pending) {
     bool planted = false;
     {
       std::unique_lock<std::mutex> lock(cache_mutex_, std::try_to_lock);
-      if (lock.owns_lock() && cache_epoch_ == warm->epoch) {
-        const auto inserted = cache_.emplace(key, std::move(planted_entry));
-        if (inserted.second) {
-          cache_order_.push_back(key);
-          while (static_cast<int>(cache_.size()) > options_.cache_capacity) {
-            cache_.erase(cache_order_.front());
-            cache_order_.pop_front();
-          }
-          planted = true;
-        }
-      }
+      planted = lock.owns_lock() &&
+                InsertCacheLocked(warm->epoch, key, planted_entry);
     }
     if (planted) {
       bool enqueued = false;
@@ -1748,11 +1593,7 @@ void SolverService::RunRefinement(const RefineTask& task) {
   // (fast plants are full-catalog by construction) and run the solve
   // the SLA preempted, converged and deadline-free.
   McfsInstance instance;
-  instance.graph = graph_;
-  instance.customers = task.key.customers;
-  instance.k = task.key.k;
-  instance.facility_nodes = warm->facility_nodes;
-  instance.capacities = warm->capacities;
+  BuildInstance(*warm, task.key.customers, task.key.k, {}, &instance);
   WmaOptions wma = options_.wma;
   wma.deadline_ms = 0;
   wma.cancel = nullptr;
@@ -1784,34 +1625,33 @@ void SolverService::RunRefinement(const RefineTask& task) {
     verify_ran = true;
     verify_ok = refined_verdict.ok;
   }
-  bool upgraded = false;
-  {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    const auto it = cache_.find(task.key);
-    if (cache_epoch_ == task.epoch && it != cache_.end() &&
-        it->second.tier == "fast") {
-      // Upgrade in place: same key, same epoch; the trace id of the
-      // planting fast answer is kept — the refined entry is that
-      // request's converged continuation, not a new identity.
-      CacheEntry& entry = it->second;
-      entry.solution = std::move(result.solution);
-      entry.stats = std::move(result.stats);
-      entry.verify_ran = verify_ran;
-      entry.verify_ok = verify_ok;
-      entry.tier = "full";
-      entry.quality_bound = 0.0;
-      upgraded = true;
-    }
-  }
-  if (upgraded) {
-    MCFS_COUNT("serve/tier_upgrades", 1);
-    MCFS_RECORD("serve/cache_upgrade", static_cast<int64_t>(task.trace_id),
-                static_cast<int64_t>(task.epoch));
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    stats_.refine_upgrades++;
-  } else {
+  CacheEntry refined{std::move(result.solution), std::move(result.stats),
+                     verify_ran, verify_ok, "full", 0.0, task.trace_id};
+  if (!UpgradeFastEntry(task.epoch, task.key, refined, task.trace_id)) {
     discard();
   }
+}
+
+bool SolverService::UpgradeFastEntry(uint64_t epoch, const CacheKey& key,
+                                     CacheEntry& full, uint64_t trace_id) {
+  {
+    std::lock_guard<std::mutex> lock(cache_mutex_);
+    const auto it = cache_.find(key);
+    if (cache_epoch_ != epoch || it == cache_.end() ||
+        it->second.tier != "fast") {
+      return false;
+    }
+    // The trace id of the planting fast answer is kept: the converged
+    // entry is that request's continuation, not a new identity.
+    full.trace_id = it->second.trace_id;
+    it->second = std::move(full);
+  }
+  MCFS_COUNT("serve/tier_upgrades", 1);
+  MCFS_RECORD("serve/cache_upgrade", static_cast<int64_t>(trace_id),
+              static_cast<int64_t>(epoch));
+  std::lock_guard<std::mutex> lock(report_mutex_);
+  stats_.refine_upgrades++;
+  return true;
 }
 
 void SolverService::DrainRefinements() {
@@ -1823,26 +1663,17 @@ void SolverService::DrainRefinements() {
 CacheProbe SolverService::ProbeCache(const SolveRequest& request) const {
   CacheProbe probe;
   std::shared_ptr<const WarmState> warm = SnapshotWarmState();
-  // Same key derivation as Execute: the shape-resolved engine is part
-  // of the identity, so the probe must resolve it the same way.
-  MatchShape shape;
-  shape.customers = static_cast<int64_t>(request.customers.size());
-  if (request.facility_subset.empty()) {
-    shape.facilities = static_cast<int64_t>(warm->facility_nodes.size());
-    for (const int c : warm->capacities) shape.total_capacity += c;
-  } else {
-    shape.facilities = static_cast<int64_t>(request.facility_subset.size());
-    for (const int idx : request.facility_subset) {
-      if (idx >= 0 && idx < static_cast<int>(warm->capacities.size())) {
-        shape.total_capacity += warm->capacities[idx];
-      }
-    }
+  // Same key derivation as Execute. A subset index out of range is
+  // rejected there before anything is cached.
+  McfsInstance instance;
+  if (!BuildInstance(*warm, request.customers, request.k,
+                     request.facility_subset, &instance)
+           .ok()) {
+    return probe;
   }
-  const MatcherBackendKind matcher =
-      ResolveMatcherBackend(options_.wma.matcher, shape);
+  const CacheKey key = MakeCacheKey(request, instance);
   std::lock_guard<std::mutex> lock(cache_mutex_);
-  const auto it = cache_.find(CacheKey{request.customers, request.k,
-                                       request.facility_subset, matcher});
+  const auto it = cache_.find(key);
   if (it == cache_.end()) return probe;
   probe.present = true;
   probe.tier = it->second.tier;
@@ -1917,7 +1748,6 @@ void SolverService::FinishRequest(PendingRequest& pending,
     stats_.preprocess_seconds_total += response.preprocess_seconds;
     stats_.solve_seconds_total += response.solve_seconds;
     if (response.cache_hit) stats_.cache_hits++;
-    latency_samples_.push_back(latency);
     for (SloState& slo : slo_states_) {
       if (slo.policy.tier != tier) continue;
       slo.requests++;
@@ -2036,11 +1866,6 @@ std::string SolverService::DumpPostmortem(const std::string& reason) {
 std::string SolverService::LastPostmortem() const {
   std::lock_guard<std::mutex> lock(report_mutex_);
   return last_postmortem_;
-}
-
-std::vector<double> SolverService::LatencySamplesForTesting() const {
-  std::lock_guard<std::mutex> lock(report_mutex_);
-  return latency_samples_;
 }
 
 std::string ServiceSnapshot::Json() const {

@@ -99,19 +99,14 @@ struct ServiceOptions {
   std::string postmortem_path;
   // Events included in a postmortem dump (most recent, across threads).
   int postmortem_events = 128;
-  // Fault injection for tests/CI: force this many warm ResolveTracked
-  // verifier verdicts to read as rejections. Each injection exercises
-  // the full rejection path — postmortem capture + cold fallback — so
-  // the response stays correct while the failure machinery is driven
-  // deterministically.
-  int inject_verify_failures = 0;
 
   // --- Fault-tolerant serving (DESIGN.md §4.13) ---
   // Seeded deterministic fault schedule (common/fault_plan.h), polled
   // at the failure-injection sites: pre-solve (deadline cut), post-
-  // solve (verifier rejection), admission (queue-overflow pulse), and
-  // checkpoint write (IO error). Shared so the chaos harness can read
-  // fire counts after the run. Null = no injection (zero overhead).
+  // solve and warm-resolve verification (verifier rejection), admission
+  // (queue-overflow pulse), and checkpoint write (IO error). Shared so
+  // the chaos harness can read fire counts after the run. Null = no
+  // injection (zero overhead).
   std::shared_ptr<FaultPlan> fault_plan;
   // Seeds the queue-delay estimator (overload control) before the first
   // completion: expected per-request service time in ms. 0 = the
@@ -178,10 +173,6 @@ struct UpdateResult {
   uint64_t epoch = 0;          // epoch after the update
   bool epoch_bumped = false;   // catalog changed -> new warm state
   bool noop = false;           // state identical afterwards; epoch kept
-  // The next ResolveTracked can still repair from its seed (per-
-  // component invalidation only). Every supported op kind is
-  // warm-repairable; kept explicit for forward compatibility.
-  bool warm_repairable = true;
   int components_dirtied = 0;  // components newly invalidated
   int ops_applied = 0;
 };
@@ -204,8 +195,8 @@ struct SolveRequest {
   std::string tier;
   // Opt into degraded-mode answers (DESIGN.md §4.13): when this solve
   // deadline-cuts or the verifier rejects it, the service walks the
-  // degradation ladder — anytime answer if it verifies, else a
-  // synthesized Hilbert/greedy baseline fallback — and responds with
+  // degradation ladder — anytime answer if it verifies, else the
+  // instant responder's answer (see max_latency_ms) — and responds with
   // SolveResponse::tier == "degraded" plus a quality bound instead of
   // surfacing the failure. Degraded answers are always verifier-checked
   // and never cached. Off = the pre-existing fail-closed behavior.
@@ -483,11 +474,6 @@ class SolverService {
   // The most recent postmortem JSON; empty when none was captured.
   std::string LastPostmortem() const;
 
-  // Raw end-to-end latency samples, in completion order — the
-  // brute-force reference the histogram-derived report quantiles are
-  // validated against (tests only; unbounded like the report itself).
-  std::vector<double> LatencySamplesForTesting() const;
-
  private:
   // Immutable per-epoch preprocessing shared by every request admitted
   // under that epoch. Requests hold it by shared_ptr, so an epoch bump
@@ -560,41 +546,77 @@ class SolverService {
   void PublishWarmState(std::shared_ptr<const WarmState> state);
   std::shared_ptr<const WarmState> SnapshotWarmState() const;
 
+  // Validates a whole new catalog, then commits it. Caller holds
+  // resolve_mutex_.
+  Status ReplaceCatalogLocked(std::vector<NodeId> facility_nodes,
+                              std::vector<int> capacities);
+  // The one catalog-commit path (DESIGN.md §4.10), for a validated new
+  // state over the current `warm` one. Caller holds resolve_mutex_.
+  // No-ops keep epoch, cache and seed; otherwise the dirty bits come
+  // from the node-keyed old -> new catalog diff.
+  UpdateResult CommitLocked(const WarmState& warm,
+                            std::vector<NodeId> facility_nodes,
+                            std::vector<int> capacities,
+                            std::vector<NodeId> tracked, int ops_applied);
+
   void DispatcherLoop();
   void Execute(PendingRequest& pending);
   // Records the phase metrics / report row and completes the handle.
   void FinishRequest(PendingRequest& pending, SolveResponse response);
+
+  // --- The request front-end every serving path shares ---
+  // The request's own deadline, else the service default.
+  int64_t DeadlineMs(const SolveRequest& request) const;
+  bool Cacheable(const SolveRequest& request) const;
+  // The instance a request describes under `warm`'s catalog (all of it
+  // when `subset` is empty). A subset index outside the catalog is the
+  // service's own kInvalidInput; the whole-catalog view cannot fail.
+  Status BuildInstance(const WarmState& warm,
+                       const std::vector<NodeId>& customers, int k,
+                       const std::vector<int>& subset,
+                       McfsInstance* instance) const;
+  // The cache identity, with the matcher backend resolved for the
+  // instance's shape: that resolved kind also runs the solve, so an
+  // auto-picked engine never serves an entry another engine produced.
+  CacheKey MakeCacheKey(const SolveRequest& request,
+                        const McfsInstance& instance) const;
+  // Warm validation (a rejection is re-derived on the cold path so the
+  // Status is byte-identical to SolveWma's), then SolveWma's m() == 0
+  // shortcut. True when either one settled `response` without a solve.
+  bool SettledBeforeSolve(const WarmState& warm, const McfsInstance& instance,
+                          const std::vector<int>& subset,
+                          SolveResponse* response) const;
+  // Caller holds cache_mutex_. Fills `response` on a hit under `epoch`.
+  bool FillFromCacheLocked(const CacheKey& key, uint64_t epoch,
+                           SolveResponse* response) const;
+  // Caller holds cache_mutex_. Inserts `entry` (moved from only then)
+  // with FIFO eviction; false when the key is taken or the cache holds
+  // another epoch.
+  bool InsertCacheLocked(uint64_t epoch, const CacheKey& key,
+                         CacheEntry& entry);
+  // Replaces the "fast" entry under (epoch, key) in place with the
+  // converged `full`, keeping the planting trace id, and counts the
+  // upgrade under `trace_id`. False when absent or already converged.
+  bool UpgradeFastEntry(uint64_t epoch, const CacheKey& key,
+                        CacheEntry& full, uint64_t trace_id);
+
   // Walks the degradation ladder (DESIGN.md §4.13) for an allow_degraded
   // request whose solve deadline-cut or verify-rejected: serve the
-  // anytime answer if the independent verifier blesses it, else
-  // synthesize a baseline fallback — always re-verified, never cached,
+  // anytime answer if the independent verifier blesses it, else the
+  // instant responder's answer — always verified, never cached,
   // postmortem recorded. `rejected` marks the candidate untrusted.
   // `nearest` forwards the epoch's precomputed nearest-facility result
-  // for full-catalog requests (null = recompute for the subset).
-  void DegradeResponse(const McfsInstance& instance,
-                       MatcherBackendKind matcher, uint64_t epoch_at,
+  // for full-catalog requests (null = one MultiSourceDijkstra over the
+  // subset, shared by the responder and the quality bound).
+  void DegradeResponse(const McfsInstance& instance, uint64_t epoch_at,
                        bool rejected, const MultiSourceResult* nearest,
                        SolveResponse* response);
-  // Feasible fallback answer against the instance: Hilbert sweep when
-  // the graph has coordinates, greedy k-median otherwise.
-  McfsSolution DegradedFallback(const McfsInstance& instance,
-                                MatcherBackendKind matcher) const;
-  // objective / (capacity- and budget-relaxed nearest-facility lower
-  // bound), shared by the degraded and fast tiers;
-  // kDegenerateQualityBound when the lower bound is 0 with a positive
-  // objective. `nearest` skips the MultiSourceDijkstra when the caller
-  // holds the epoch's precomputed full-catalog result (null = compute
-  // against instance.facility_nodes).
-  double NearestFacilityQualityBound(const McfsInstance& instance,
-                                     double objective,
-                                     const MultiSourceResult* nearest) const;
-  // The instant responder (DESIGN.md §4.14): serves `pending` inline on
-  // the submitting thread — cache lookup, greedy selection over the
-  // nearest-facility distances, bounded-work FastGreedyMatch,
-  // first-principles verification, quality bound — and completes the
-  // handle as tier == "fast". Returns false when the fast attempt could
-  // not produce a verified feasible answer (the caller enqueues the
-  // request for the normal full solve) and true when the handle was
+  // The fast tier (DESIGN.md §4.14): serves `pending` inline on the
+  // submitting thread — cache lookup, the instant responder over the
+  // epoch's nearest-facility distances, quality bound — and completes
+  // the handle as tier == "fast". Returns false when the fast attempt
+  // could not produce a verified feasible answer (the caller enqueues
+  // the request for the normal full solve) and true when the handle was
   // completed (fast answer, cache hit, or a definitive error).
   bool FastServe(PendingRequest& pending);
   // Background refinement worker: full WMA re-solves of fast-answered
@@ -618,20 +640,13 @@ class SolverService {
 
   // Warm-resolve state (DESIGN.md §4.10): the previous ResolveTracked's
   // exported seed plus per-component dirty bits accumulated by updates
-  // since that export. Guarded by resolve_mutex_, which is held for the
-  // whole of ResolveTracked — updates racing a resolve serialize behind
-  // it (lock order: update_mutex_ -> resolve_mutex_ -> the rest).
+  // since that export. Guarded by resolve_mutex_.
   struct ResolveState {
     std::shared_ptr<const WmaWarmSeed> seed;
     int seed_k = 0;
     std::vector<uint8_t> stream_dirty;  // per graph component
     std::vector<uint8_t> match_dirty;
   };
-
-  // Marks component dirty bits (resizing lazily), returning how many
-  // (component, kind) bits flipped 0 -> 1. Caller holds resolve_mutex_.
-  int MarkDirty(const std::vector<uint8_t>& stream_dirty,
-                const std::vector<uint8_t>& match_dirty);
 
   // SLO report rows with burn rates. Caller holds report_mutex_.
   std::vector<SloReport> SloRowsLocked() const;
@@ -646,9 +661,12 @@ class SolverService {
   std::atomic<double> ewma_service_seconds_{0.0};
 
   mutable std::mutex state_mutex_;  // guards the warm_state_ pointer
-  std::mutex update_mutex_;  // serializes whole catalog updates
   std::shared_ptr<const WarmState> warm_state_;
 
+  // The one write lock, held for the whole of every catalog update,
+  // ResolveTracked, checkpoint and restore, so warm state, dirty bits,
+  // seed and tracked population move together. Lock order:
+  // resolve_mutex_ -> the rest.
   mutable std::mutex resolve_mutex_;
   ResolveState resolve_;
   std::vector<NodeId> tracked_customers_;  // guarded by resolve_mutex_
@@ -686,7 +704,6 @@ class SolverService {
 
   mutable std::mutex report_mutex_;
   ServiceReport stats_;
-  std::vector<double> latency_samples_;  // brute-force quantile reference
   std::vector<SloState> slo_states_;
   std::vector<uint64_t> in_flight_;  // trace ids inside Execute/Resolve
   std::string last_postmortem_;

@@ -166,6 +166,21 @@ TEST(CheckpointFormat, EveryDefectIsTypedIoError) {
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
   }
+
+  // A garbled record count, read before the checksum can vouch for it,
+  // must not size an allocation.
+  for (const std::string header : {"\ncatalog ", "\ntracked ", "\nwarmseed "}) {
+    std::string garbled = good;
+    const size_t start = garbled.find(header);
+    ASSERT_NE(start, std::string::npos) << header;
+    const size_t count = start + header.size();
+    garbled.replace(count, garbled.find_first_of(" \n", count) - count,
+                    "99999999999999");
+    WriteFile(mutated, garbled);
+    const StatusOr<ServiceCheckpoint> loaded = ReadServiceCheckpoint(mutated);
+    ASSERT_FALSE(loaded.ok()) << header;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+  }
 }
 
 TEST(CheckpointService, RestoreContinuesTheEpochWithByteIdenticalAnswers) {
@@ -246,6 +261,36 @@ TEST(CheckpointService, RestoreFailureLeavesTheServiceServingCold) {
   const ServiceReport report = service->Report();
   EXPECT_EQ(report.checkpoints_restored, 0);
   EXPECT_GE(report.checkpoint_failures, 1);
+}
+
+// A checksum-valid checkpoint whose catalog and tracked nodes fit the
+// graph but whose warm seed names a node beyond it: restoring it would
+// let ResolveTracked index the component labeling out of bounds.
+TEST(CheckpointService, RestoreRejectsSeedNodesOutsideTheGraph) {
+  CheckpointFixture fx(61);
+  auto service = fx.MakeService();
+  ASSERT_TRUE(service->ResolveTracked(6).status.ok());
+  const std::string path = TempPath("ckpt_foreign_seed.mcfsckpt");
+  ASSERT_TRUE(service->CheckpointTo(path).ok());
+  StatusOr<ServiceCheckpoint> loaded = ReadServiceCheckpoint(path);
+  ASSERT_TRUE(loaded.ok());
+  ServiceCheckpoint checkpoint = std::move(loaded).value();
+  ASSERT_TRUE(checkpoint.has_seed);
+  ASSERT_FALSE(checkpoint.seed.trajectory.customers.empty());
+  checkpoint.epoch = 99;
+  checkpoint.seed.trajectory.customers[0].node =
+      static_cast<NodeId>(fx.graph.NumNodes() + 3);
+  ASSERT_TRUE(WriteServiceCheckpoint(checkpoint, path).ok());
+
+  const uint64_t epoch_before = service->epoch();
+  const Status status = service->RestoreFrom(path);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_NE(status.message().find("warm seed node"), std::string::npos)
+      << status.message();
+  EXPECT_EQ(service->epoch(), epoch_before);
+  EXPECT_TRUE(service->ResolveTracked(6).status.ok());
+  EXPECT_TRUE(service->SolveSync({fx.customers, 6, {}, 0, nullptr}).status.ok());
 }
 
 TEST(CheckpointService, CorruptedFileIsRejectedOnRestore) {

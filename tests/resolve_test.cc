@@ -261,7 +261,6 @@ TEST(ResolveUpdates, ClassifiesEpochBumpsAndNoops) {
   ASSERT_TRUE(grown.ok());
   EXPECT_TRUE(grown.value().epoch_bumped);
   EXPECT_EQ(grown.value().epoch, epoch0 + 1);
-  EXPECT_TRUE(grown.value().warm_repairable);
   EXPECT_GE(grown.value().components_dirtied, 1);
 
   // A delta that cancels itself out is a detected no-op: epoch kept.

@@ -175,10 +175,14 @@ TEST(ServeChaosTest, SoakSurvivesFaultsAndReconvergesAcrossThreadCounts) {
     EXPECT_GT(degraded, 0);
     EXPECT_GT(converged, 0);
     EXPECT_EQ(shed, plan->fires(FaultKind::kQueuePulse));
+    // Every shape is a validated feasible instance, so the ladder's
+    // rung 2 (the instant responder) always finds a verified answer.
+    EXPECT_EQ(exhausted, 0);
 
     const ServiceReport report = service->Report();
     EXPECT_EQ(report.requests_shed, shed);
     EXPECT_EQ(report.degraded_responses, degraded);
+    EXPECT_GE(report.degraded_fallbacks, 1);
     EXPECT_GE(report.faults_injected, plan->fires(FaultKind::kQueuePulse));
     const std::string json = report.Json();
     EXPECT_NE(json.find("\"fault_tolerance\""), std::string::npos);

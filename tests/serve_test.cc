@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "mcfs/common/deadline.h"
+#include "mcfs/common/timer.h"
 #include "mcfs/core/verifier.h"
 #include "mcfs/core/wma.h"
 #include "mcfs/obs/flight_recorder.h"
@@ -438,7 +439,11 @@ TEST(ServeTest, InjectedVerifyRejectionDumpsPostmortemAndFallsBackCold) {
   ServeFixture fx(32);
   ServiceOptions options;
   options.flight_recorder = true;
-  options.inject_verify_failures = 1;
+  // Exactly one verifier rejection, at the first warm verify.
+  FaultPlanSpec spec;
+  spec.rate[static_cast<int>(FaultKind::kVerifyReject)] = 1.0;
+  spec.max_fires[static_cast<int>(FaultKind::kVerifyReject)] = 1;
+  options.fault_plan = std::make_shared<FaultPlan>(spec);
   auto service = fx.MakeService(options);
 
   UpdateRequest arrivals;
@@ -587,15 +592,22 @@ TEST(ServeTest, HistogramQuantilesMatchBruteForceWithinOneBucket) {
   SolveRequest request;
   request.customers = fx.catalog().customers;
   request.k = fx.catalog().k;
-  for (int r = 0; r < 24; ++r) {
+  // Client-side samples: the server's admission-to-completion interval
+  // lies inside each SolveSync call, so every client sample bounds its
+  // server sample from above (plus one tick of the microsecond clock the
+  // server reads).
+  constexpr int kRequests = 24;
+  constexpr double kClockTick = 1e-6;
+  std::vector<double> samples;
+  for (int r = 0; r < kRequests; ++r) {
+    WallTimer timer;
     ASSERT_TRUE(service->SolveSync(request).status.ok());
+    samples.push_back(timer.Seconds() + kClockTick);
   }
   const LatencySummary hist = service->Report().latency;
-  std::vector<double> samples = service->LatencySamplesForTesting();
-  const LatencySummary exact = SummarizeLatencies(samples);
-  ASSERT_EQ(hist.count, exact.count);
-  EXPECT_DOUBLE_EQ(hist.max, exact.max);  // max is tracked exactly
-  EXPECT_NEAR(hist.mean, exact.mean, 1e-12);
+  const LatencySummary client = SummarizeLatencies(samples);
+  ASSERT_EQ(hist.count, kRequests);
+  EXPECT_LE(hist.max, client.max);  // max is tracked exactly
   // Exact nearest-rank quantile with the histogram's own rank
   // convention (rank = ceil(q * n), at least 1).
   std::sort(samples.begin(), samples.end());
@@ -613,10 +625,9 @@ TEST(ServeTest, HistogramQuantilesMatchBruteForceWithinOneBucket) {
        {QuantilePair{hist.p50, exact_quantile(0.50)},
         QuantilePair{hist.p95, exact_quantile(0.95)},
         QuantilePair{hist.p99, exact_quantile(0.99)}}) {
-    // Bucket-quantile contract: the estimate is the upper bound of the
-    // bucket holding the exact rank sample (clamped to the exact max),
-    // so exact <= estimate <= exact * bucket growth.
-    EXPECT_GE(q.histogram * (1.0 + 1e-12), q.brute_force);
+    // Bucket-quantile contract: the estimate is at most the server's
+    // exact rank sample times the bucket growth, and the server's rank
+    // sample is at most the client's.
     EXPECT_LE(q.histogram, q.brute_force * obs::kHistogramGrowth *
                                (1.0 + 1e-12));
   }
@@ -750,6 +761,42 @@ TEST(ServeTest, DeadlineCutDegradedRequestServesVerifiedFallback) {
         "\"faults_injected\"", "\"shed\"", "\"degraded\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << "\n" << json;
   }
+}
+
+// Rung 2 of the ladder is the instant responder, also for a catalog
+// subset on a graph without coordinates (no Hilbert sweep possible).
+TEST(ServeTest, RejectedSubsetRequestServesInstantResponderWithoutCoordinates) {
+  ServeFixture fx(11);
+  ASSERT_FALSE(fx.catalog().graph->has_coordinates());
+  ServiceOptions options;
+  FaultPlanSpec spec;
+  spec.rate[static_cast<int>(FaultKind::kVerifyReject)] = 1.0;
+  spec.max_fires[static_cast<int>(FaultKind::kVerifyReject)] = 1;
+  options.fault_plan = std::make_shared<FaultPlan>(spec);
+  auto service = fx.MakeService(options);
+
+  SolveRequest request;
+  request.customers = fx.catalog().customers;
+  request.k = fx.catalog().k;
+  for (int j = 0; j < fx.catalog().l(); j += 2) {
+    request.facility_subset.push_back(j);
+  }
+  request.allow_degraded = true;
+  ASSERT_TRUE(SolveWma(fx.RequestInstance(request)).ok());
+
+  const SolveResponse degraded = service->SolveSync(request);
+  ASSERT_TRUE(degraded.status.ok()) << degraded.status.ToString();
+  EXPECT_EQ(degraded.tier, "degraded");
+  EXPECT_TRUE(degraded.verify_ran);
+  EXPECT_TRUE(degraded.verify_ok);
+  EXPECT_TRUE(degraded.solution.feasible);
+  EXPECT_TRUE(degraded.quality_bound >= 1.0 ||
+              degraded.quality_bound == kDegenerateQualityBound)
+      << degraded.quality_bound;
+  const VerifyReport verdict =
+      VerifySolution(fx.RequestInstance(request), degraded.solution);
+  EXPECT_TRUE(verdict.ok) << verdict.ToString();
+  EXPECT_EQ(service->Report().degraded_fallbacks, 1);
 }
 
 TEST(ServeTest, QueueFullRejectionCarriesRetryAfterHint) {
