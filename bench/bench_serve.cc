@@ -445,12 +445,19 @@ int main(int argc, char** argv) {
   options.default_deadline_ms = bench.deadline_ms;
   options.verify = bench.verify;
   options.wma.matcher = bench.matcher;
+  // The service CHECKs its SLO rows; a bad flag is a usage error here.
+  const double slo_error_budget = flags.GetDouble("slo-error-budget", 0.01);
+  if (!(slo_error_budget > 0.0 && slo_error_budget <= 1.0)) {
+    std::printf("bad --slo-error-budget=%g: must be in (0, 1]\n",
+                slo_error_budget);
+    return 1;
+  }
   const double slo_ms = flags.GetDouble("slo-ms", 0.0);
   if (slo_ms > 0.0) {
     SloPolicy slo;
     slo.tier = "default";
     slo.target_latency_ms = slo_ms;
-    slo.error_budget = flags.GetDouble("slo-error-budget", 0.01);
+    slo.error_budget = slo_error_budget;
     options.slos.push_back(std::move(slo));
   }
   // Tiered serving (DESIGN.md §4.14): --fast-latency-ms N puts every
@@ -463,7 +470,7 @@ int main(int argc, char** argv) {
     SloPolicy slo;
     slo.tier = "fast";
     slo.target_latency_ms = static_cast<double>(fast_latency_ms);
-    slo.error_budget = flags.GetDouble("slo-error-budget", 0.01);
+    slo.error_budget = slo_error_budget;
     options.slos.push_back(std::move(slo));
   }
   // With a fast tier in play, batch and refinement threads yield the

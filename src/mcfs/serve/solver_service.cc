@@ -194,12 +194,25 @@ SolverService::SolverService(const Graph* graph,
     ewma_service_seconds_.store(options_.expected_solve_ms * 1e-3,
                                 std::memory_order_relaxed);
   }
-  slo_states_.reserve(options_.slos.size());
+  // An SLO row is configuration, checked like the catalog: a zero budget
+  // would hide every violation behind burn = 0, and a second row for a
+  // tier would never count a request.
   for (const SloPolicy& policy : options_.slos) {
-    SloState state;
-    state.policy = policy;
-    if (state.policy.tier.empty()) state.policy.tier = kDefaultTier;
-    slo_states_.push_back(std::move(state));
+    SloReport row;
+    row.tier = policy.tier.empty() ? kDefaultTier : policy.tier;
+    row.target_latency_ms = policy.target_latency_ms;
+    row.error_budget = policy.error_budget;
+    MCFS_CHECK(row.error_budget > 0.0 && row.error_budget <= 1.0 &&
+               std::isfinite(row.target_latency_ms) &&
+               row.target_latency_ms >= 0.0)
+        << "SLO tier " << row.tier << ": needs error_budget in (0, 1] and a "
+        << "finite target_latency_ms >= 0, got " << row.error_budget << " and "
+        << row.target_latency_ms;
+    for (const SloReport& other : slos_) {
+      MCFS_CHECK(other.tier != row.tier)
+          << "SLO tier " << row.tier << " configured twice";
+    }
+    slos_.push_back(std::move(row));
   }
   PublishWarmState(
       BuildWarmState(1, std::move(facility_nodes), std::move(capacities)));
@@ -252,8 +265,6 @@ std::shared_ptr<const SolverService::WarmState> SolverService::BuildWarmState(
   state->nearest_facility =
       MultiSourceDijkstra(*graph_, state->facility_nodes);
   state->build_seconds = timer.Seconds();
-  MCFS_COUNT("serve/epoch_rebuilds", 1);
-  MCFS_OBSERVE("serve/warm_build_seconds", state->build_seconds);
   return state;
 }
 
@@ -266,16 +277,13 @@ void SolverService::PublishWarmState(std::shared_ptr<const WarmState> state) {
     cache_order_.clear();
     cache_epoch_ = state->epoch;
   }
-  const double build_seconds = state->build_seconds;
+  counts_.Observe(ServiceCounts::kWarmBuildSeconds, state->build_seconds);
   const uint64_t epoch = state->epoch;
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
     warm_state_ = std::move(state);
   }
   MCFS_RECORD("serve/epoch_swap", static_cast<int64_t>(epoch), 0);
-  std::lock_guard<std::mutex> lock(report_mutex_);
-  stats_.epochs_built++;
-  stats_.warm_build_seconds += build_seconds;
 }
 
 std::shared_ptr<const SolverService::WarmState>
@@ -437,8 +445,8 @@ StatusOr<UpdateResult> SolverService::ApplyUpdate(
     }
   }
 
-  MCFS_COUNT("resolve/deltas_classified",
-             static_cast<int64_t>(update.ops.size()));
+  counts_.Add(ServiceCounts::kOpsApplied,
+              static_cast<int64_t>(update.ops.size()));
   return CommitLocked(*warm, std::move(nodes), std::move(caps),
                       std::move(tracked),
                       static_cast<int>(update.ops.size()));
@@ -458,10 +466,7 @@ UpdateResult SolverService::CommitLocked(const WarmState& warm,
     // No-op delta: the state is already exactly this. Keep the epoch —
     // and with it the response cache and the warm-resolve seed.
     out.noop = true;
-    MCFS_COUNT("resolve/noop_updates", 1);
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    stats_.resolve_noop_updates++;
-    stats_.resolve_ops_applied += ops_applied;
+    counts_.Add(ServiceCounts::kNoopUpdates);
     return out;
   }
   // Dirty bits from the node-keyed old -> new catalog diff. A node new
@@ -492,9 +497,7 @@ UpdateResult SolverService::CommitLocked(const WarmState& warm,
       mark(resolve_.match_dirty, g);
     }
   }
-  if (out.components_dirtied > 0) {
-    MCFS_COUNT("resolve/components_dirtied", out.components_dirtied);
-  }
+  counts_.Add(ServiceCounts::kComponentsDirtied, out.components_dirtied);
   if (catalog_changed) {
     out.epoch_bumped = true;
     out.epoch = warm.epoch + 1;
@@ -504,12 +507,7 @@ UpdateResult SolverService::CommitLocked(const WarmState& warm,
   tracked_customers_ = std::move(tracked);
   tracked_count_.store(static_cast<int64_t>(tracked_customers_.size()),
                        std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    stats_.resolve_updates++;
-    stats_.resolve_ops_applied += ops_applied;
-    stats_.resolve_components_dirtied += out.components_dirtied;
-  }
+  counts_.Add(ServiceCounts::kResolveUpdates);
   return out;
 }
 
@@ -618,15 +616,10 @@ SolveResponse SolverService::ResolveTracked(int k, int64_t deadline_ms,
       response.verify_ok = false;
       MCFS_RECORD("resolve/fault_verify_reject",
                   static_cast<int64_t>(trace_id), 0);
-      std::lock_guard<std::mutex> lock(report_mutex_);
-      stats_.faults_injected++;
+      counts_.Add(ServiceCounts::kFaultsInjected);
     }
     if (!response.verify_ok) {
-      MCFS_COUNT("resolve/verify_rejections", 1);
-      {
-        std::lock_guard<std::mutex> lock(report_mutex_);
-        stats_.resolve_verify_rejections++;
-      }
+      counts_.Add(ServiceCounts::kVerifyRejections);
       RecordPostmortem("verify_rejection", trace_id, warm->epoch);
       wma.warm_seed = nullptr;
       wma.warm_stream_invalid.clear();
@@ -662,26 +655,15 @@ SolveResponse SolverService::ResolveTracked(int k, int64_t deadline_ms,
   std::fill(resolve_.stream_dirty.begin(), resolve_.stream_dirty.end(), 0);
   std::fill(resolve_.match_dirty.begin(), resolve_.match_dirty.end(), 0);
 
-  const bool counted_warm = warm_started && !fell_back_cold;
   response.warm_attempted = warm_started;
-  response.warm_served = counted_warm;
-  if (counted_warm) {
-    MCFS_COUNT("resolve/warm_repairs", 1);
-  } else {
-    MCFS_COUNT("resolve/cold_fallbacks", 1);
-  }
-  {
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    if (counted_warm) {
-      stats_.resolves_warm++;
-      stats_.resolve_warm_seconds += response.solve_seconds;
-    } else {
-      stats_.resolves_cold++;
-      stats_.resolve_cold_seconds += response.solve_seconds;
-    }
-    stats_.warm_customers_reused += response.stats.warm_customers_reused;
-    stats_.warm_customers_repaired += response.stats.warm_customers_repaired;
-  }
+  response.warm_served = warm_started && !fell_back_cold;
+  counts_.Observe(response.warm_served ? ServiceCounts::kResolveWarmSeconds
+                                       : ServiceCounts::kResolveColdSeconds,
+                  response.solve_seconds);
+  counts_.Add(ServiceCounts::kWarmCustomersReused,
+              response.stats.warm_customers_reused);
+  counts_.Add(ServiceCounts::kWarmCustomersRepaired,
+              response.stats.warm_customers_repaired);
   return response;
 }
 
@@ -693,9 +675,8 @@ Status SolverService::CheckpointTo(const std::string& path) {
   if (options_.fault_plan != nullptr &&
       options_.fault_plan->ShouldFire(FaultKind::kCheckpointIo)) {
     MCFS_RECORD("serve/fault_checkpoint_io", 0, 0);
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    stats_.checkpoint_failures++;
-    stats_.faults_injected++;
+    counts_.Add(ServiceCounts::kFaultsInjected);
+    counts_.Add(ServiceCounts::kCheckpointFailures);
     return IoError("fault-injected checkpoint write failure: " + path);
   }
   std::shared_ptr<const WarmState> warm = SnapshotWarmState();
@@ -719,15 +700,8 @@ Status SolverService::CheckpointTo(const std::string& path) {
     checkpoint.seed = *resolve_.seed;
   }
   const Status status = WriteServiceCheckpoint(checkpoint, path);
-  {
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    if (status.ok()) {
-      stats_.checkpoints_saved++;
-    } else {
-      stats_.checkpoint_failures++;
-    }
-  }
-  if (status.ok()) MCFS_COUNT("serve/checkpoints_saved", 1);
+  counts_.Add(status.ok() ? ServiceCounts::kCheckpointsSaved
+                          : ServiceCounts::kCheckpointFailures);
   return status;
 }
 
@@ -735,8 +709,7 @@ Status SolverService::RestoreFrom(const std::string& path) {
   MCFS_SPAN("serve/checkpoint_restore");
   std::lock_guard<std::mutex> resolve_lock(resolve_mutex_);
   const auto fail = [this](Status status) {
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    stats_.checkpoint_failures++;
+    counts_.Add(ServiceCounts::kCheckpointFailures);
     return status;
   };
   StatusOr<ServiceCheckpoint> loaded = ReadServiceCheckpoint(path);
@@ -808,11 +781,7 @@ Status SolverService::RestoreFrom(const std::string& path) {
   resolve_.seed_k = checkpoint.seed_k;
   std::fill(resolve_.stream_dirty.begin(), resolve_.stream_dirty.end(), 0);
   std::fill(resolve_.match_dirty.begin(), resolve_.match_dirty.end(), 0);
-  {
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    stats_.checkpoints_restored++;
-  }
-  MCFS_COUNT("serve/checkpoints_restored", 1);
+  counts_.Add(ServiceCounts::kCheckpointsRestored);
   return OkStatus();
 }
 
@@ -895,20 +864,9 @@ std::shared_ptr<ResponseHandle> SolverService::Submit(SolveRequest request) {
   // above (a shed when shed_reason is set).
   const auto reject = [&] {
     const bool shed = !shed_reason.empty();
-    if (shed) {
-      MCFS_COUNT("serve/requests_shed", 1);
-    } else {
-      MCFS_COUNT("serve/requests_rejected", 1);
-    }
-    {
-      std::lock_guard<std::mutex> lock(report_mutex_);
-      if (shed) {
-        stats_.requests_shed++;
-      } else {
-        stats_.requests_rejected++;
-      }
-      if (fault_fired) stats_.faults_injected++;
-    }
+    counts_.Add(shed ? ServiceCounts::kRequestsShed
+                     : ServiceCounts::kRequestsRejected);
+    if (fault_fired) counts_.Add(ServiceCounts::kFaultsInjected);
     SolveResponse response;
     response.trace_id = trace_id;
     response.retry_after_ms = retry_after_ms;
@@ -924,11 +882,7 @@ std::shared_ptr<ResponseHandle> SolverService::Submit(SolveRequest request) {
     return handle;
   };
   if (rejection != nullptr || !shed_reason.empty()) return reject();
-  MCFS_COUNT("serve/requests_admitted", 1);
-  {
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    stats_.requests_admitted++;
-  }
+  counts_.Add(ServiceCounts::kRequestsAdmitted);
   if (!fast_path) {
     queue_cv_.notify_one();
     return handle;
@@ -940,11 +894,7 @@ std::shared_ptr<ResponseHandle> SolverService::Submit(SolveRequest request) {
   // The fast attempt could not produce a verified feasible answer; fall
   // through to the queued full solve (fidelity over the SLA). The queue
   // is re-checked — admission raced other submitters while we tried.
-  MCFS_COUNT("serve/fast_fallthroughs", 1);
-  {
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    stats_.fast_fallthroughs++;
-  }
+  counts_.Add(ServiceCounts::kFastFallthroughs);
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     if (stop_) {
@@ -1006,14 +956,8 @@ void SolverService::DispatcherLoop() {
       }
     }
     MCFS_SPAN("serve/batch");
-    MCFS_COUNT("serve/batches", 1);
     const int n = static_cast<int>(batch.size());
-    MCFS_OBSERVE("serve/batch_size", static_cast<double>(n));
-    {
-      std::lock_guard<std::mutex> lock(report_mutex_);
-      stats_.batches++;
-      stats_.max_batch_size = std::max(stats_.max_batch_size, n);
-    }
+    counts_.Observe(ServiceCounts::kBatchSize, static_cast<double>(n));
     if (n == 1) {
       Execute(batch[0]);
     } else {
@@ -1230,7 +1174,6 @@ void SolverService::Execute(PendingRequest& pending) {
     // core boxes especially) — holding the lock through that wake
     // convoys every concurrent lookup behind a descheduled holder.
     if (hit) {
-      MCFS_COUNT("serve/cache_hits", 1);
       FinishRequest(pending, std::move(response));
       return;
     }
@@ -1249,17 +1192,16 @@ void SolverService::Execute(PendingRequest& pending) {
   wma.cancel = request.cancel;
   wma.trace_id = request.trace_id;
   wma.matcher = key.matcher;
-  bool fault_deadline = false;
   if (options_.fault_plan != nullptr &&
       options_.fault_plan->ShouldFire(FaultKind::kDeadlineCut)) {
     // Deterministic mid-solve expiry at a solver checkpoint — the
     // generalized AfterPolls hook. The solve degrades to its anytime
     // answer exactly as a real wall-clock deadline would.
-    fault_deadline = true;
     wma.deadline_ms = 0;
     wma.deadline = Deadline::AfterPolls(2);
     MCFS_RECORD("serve/fault_deadline_cut",
                 static_cast<int64_t>(request.trace_id), 0);
+    counts_.Add(ServiceCounts::kFaultsInjected);
   }
   WallTimer solve_timer;
   WmaResult result = RunWma(instance, wma);
@@ -1268,9 +1210,7 @@ void SolverService::Execute(PendingRequest& pending) {
   response.stats = std::move(result.stats);
 
   if (response.solution.termination == Termination::kDeadline) {
-    MCFS_COUNT("serve/deadline_terminations", 1);
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    stats_.deadline_terminations++;
+    counts_.Add(ServiceCounts::kDeadlineTerminations);
   }
 
   bool injected_reject = false;
@@ -1282,11 +1222,7 @@ void SolverService::Execute(PendingRequest& pending) {
     injected_reject = true;
     MCFS_RECORD("serve/fault_verify_reject",
                 static_cast<int64_t>(request.trace_id), 0);
-  }
-  if (fault_deadline || injected_reject) {
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    stats_.faults_injected +=
-        (fault_deadline ? 1 : 0) + (injected_reject ? 1 : 0);
+    counts_.Add(ServiceCounts::kFaultsInjected);
   }
   // Degraded-opted deadline-cut answers are verified too: the anytime
   // solution only serves (as tier=degraded) once the independent
@@ -1382,12 +1318,7 @@ void SolverService::DegradeResponse(const McfsInstance& instance,
   RecordPostmortem(
       rejected ? "degraded_verify_rejection" : "degraded_deadline",
       response->trace_id, epoch_at);
-  MCFS_COUNT("serve/degraded_responses", 1);
-  {
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    stats_.degraded_responses++;
-    if (synthesized) stats_.degraded_fallbacks++;
-  }
+  if (synthesized) counts_.Add(ServiceCounts::kDegradedFallbacks);
 }
 
 bool SolverService::FastServe(PendingRequest& pending) {
@@ -1401,30 +1332,16 @@ bool SolverService::FastServe(PendingRequest& pending) {
   // holding a lock can starve for a full scheduler round — priority
   // inversion that lands straight in the fast tier's p99). Every lock
   // this path takes before its latency is recorded is therefore a
-  // try-lock, and contention skips the optional work: the in-flight
-  // marker is diagnostic, a skipped cache lookup is a cache miss, and a
-  // skipped plant just means a later occurrence plants instead.
-  {
-    std::unique_lock<std::mutex> lock(report_mutex_, std::try_to_lock);
-    if (lock.owns_lock()) in_flight_.push_back(request.trace_id);
-  }
-  // Fallthrough exits bypass FinishRequest, so they retire the
-  // in-flight marker themselves before handing the request back.
-  auto retire = [&] {
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    const auto it =
-        std::find(in_flight_.begin(), in_flight_.end(), request.trace_id);
-    if (it != in_flight_.end()) in_flight_.erase(it);
-  };
+  // try-lock, and contention skips the optional work: a skipped cache
+  // lookup is a cache miss, and a skipped plant just means a later
+  // occurrence plants instead. Counting takes no lock at all, and the
+  // in-flight list (report_mutex_) is left to Execute and ResolveTracked.
 
   // The instant responder leans on the epoch's precomputed
   // nearest-facility distances; a catalog subset would need its own
   // multi-source Dijkstra — no longer instant — so subset requests take
   // the full path.
-  if (!request.facility_subset.empty()) {
-    retire();
-    return false;
-  }
+  if (!request.facility_subset.empty()) return false;
 
   std::shared_ptr<const WarmState> warm = SnapshotWarmState();
 
@@ -1451,7 +1368,6 @@ bool SolverService::FastServe(PendingRequest& pending) {
     // Finish outside cache_mutex_ — same wake-preemption convoy hazard
     // as Execute's hit path; the fast tier is the one that pays for it.
     if (hit) {
-      MCFS_COUNT("serve/cache_hits", 1);
       FinishRequest(pending, std::move(response));
       return true;
     }
@@ -1469,7 +1385,6 @@ bool SolverService::FastServe(PendingRequest& pending) {
   WallTimer solve_timer;
   McfsSolution solution;
   if (!InstantAnswer(instance, warm->nearest_facility, &solution)) {
-    retire();
     return false;
   }
   response.solve_seconds = solve_timer.Seconds();
@@ -1522,13 +1437,10 @@ bool SolverService::FastServe(PendingRequest& pending) {
       }
       if (enqueued) {
         refine_cv_.notify_one();
-        MCFS_COUNT("serve/refines_enqueued", 1);
-        std::lock_guard<std::mutex> lock(report_mutex_);
-        stats_.refines_enqueued++;
+        counts_.Add(ServiceCounts::kRefinesEnqueued);
       }
     }
   }
-  MCFS_COUNT("serve/tier_fast", 1);
   FinishRequest(pending, std::move(response));
   return true;
 }
@@ -1564,11 +1476,9 @@ void SolverService::RunRefinement(const RefineTask& task) {
   obs::ScopedTraceContext trace_scope(task.trace_id);
   MCFS_SPAN("serve/refine");
   const auto discard = [&] {
-    MCFS_COUNT("serve/refine_discards", 1);
+    counts_.Add(ServiceCounts::kRefineDiscards);
     MCFS_RECORD("serve/refine_discard", static_cast<int64_t>(task.trace_id),
                 static_cast<int64_t>(task.epoch));
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    stats_.refine_discards++;
   };
   std::shared_ptr<const WarmState> warm = SnapshotWarmState();
   if (warm->epoch != task.epoch) {
@@ -1605,11 +1515,7 @@ void SolverService::RunRefinement(const RefineTask& task) {
   // refinements are where the fast tier teaches it what the full solve
   // it displaced actually costs.
   UpdateEwma(ewma_service_seconds_, solve_timer.Seconds());
-  MCFS_COUNT("serve/refine_runs", 1);
-  {
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    stats_.refine_runs++;
-  }
+  counts_.Add(ServiceCounts::kRefineRuns);
   if (!result.solution.feasible ||
       result.solution.termination != Termination::kConverged) {
     // Only converged answers upgrade a cache entry (the same condition
@@ -1646,11 +1552,9 @@ bool SolverService::UpgradeFastEntry(uint64_t epoch, const CacheKey& key,
     full.trace_id = it->second.trace_id;
     it->second = std::move(full);
   }
-  MCFS_COUNT("serve/tier_upgrades", 1);
+  counts_.Add(ServiceCounts::kRefineUpgrades);
   MCFS_RECORD("serve/cache_upgrade", static_cast<int64_t>(trace_id),
               static_cast<int64_t>(epoch));
-  std::lock_guard<std::mutex> lock(report_mutex_);
-  stats_.refine_upgrades++;
   return true;
 }
 
@@ -1703,33 +1607,32 @@ void SolverService::FinishRequest(PendingRequest& pending,
                response.preprocess_seconds + response.solve_seconds);
   }
   response.trace_id = pending.request.trace_id;
-  MCFS_OBSERVE("serve/queue_seconds", response.queue_seconds);
-  MCFS_OBSERVE("serve/solve_seconds", response.solve_seconds);
-  MCFS_OBSERVE("serve/latency_seconds", latency);
-  // The report's quantiles come from here. Execute installed this
-  // request's trace context, so the bucket exemplar is its trace id.
-  latency_hist_.Observe(latency);
-  // Per-tier split (DESIGN.md §4.14), served responses only — the tier
-  // of a rejection is meaningless and would pollute the comparison.
-  if (response.status.ok()) {
-    if (response.tier == "fast") {
-      latency_fast_hist_.Observe(latency);
-    } else if (response.tier == "degraded") {
-      latency_degraded_hist_.Observe(latency);
-    } else {
-      latency_full_hist_.Observe(latency);
-    }
+  counts_.Observe(ServiceCounts::kQueueSeconds, response.queue_seconds);
+  counts_.Observe(ServiceCounts::kPreprocessSeconds,
+                  response.preprocess_seconds);
+  counts_.Observe(ServiceCounts::kSolveSeconds, response.solve_seconds);
+  // The report's quantiles and completion count come from here. Execute
+  // installed this request's trace context, so the bucket exemplar is
+  // its trace id.
+  counts_.Observe(ServiceCounts::kLatencyAll, latency);
+  // A failure counts as one; served responses split by tier (DESIGN.md
+  // §4.14) — the tier of a failure is meaningless and would pollute the
+  // comparison. These counts are the fast and degraded response counts.
+  if (!response.status.ok()) {
+    counts_.Add(ServiceCounts::kRequestsFailed);
+  } else if (response.tier == "fast") {
+    counts_.Observe(ServiceCounts::kLatencyFast, latency);
+  } else if (response.tier == "degraded") {
+    counts_.Observe(ServiceCounts::kLatencyDegraded, latency);
+  } else {
+    counts_.Observe(ServiceCounts::kLatencyFull, latency);
   }
+  if (response.cache_hit) counts_.Add(ServiceCounts::kCacheHits);
   MCFS_RECORD("serve/request_end",
               static_cast<int64_t>(response.trace_id),
               static_cast<int64_t>(response.status.code()));
   if (response.status.code() == StatusCode::kInfeasible) {
     RecordPostmortem("infeasible", response.trace_id, response.epoch);
-  }
-  if (response.status.ok()) {
-    MCFS_COUNT("serve/requests_completed", 1);
-  } else {
-    MCFS_COUNT("serve/requests_failed", 1);
   }
   const std::string tier =
       pending.request.tier.empty() ? std::string(kDefaultTier)
@@ -1739,45 +1642,29 @@ void SolverService::FinishRequest(PendingRequest& pending,
     const auto in_flight_it =
         std::find(in_flight_.begin(), in_flight_.end(), response.trace_id);
     if (in_flight_it != in_flight_.end()) in_flight_.erase(in_flight_it);
-    stats_.requests_completed++;
-    if (!response.status.ok()) stats_.requests_failed++;
-    if (response.status.ok() && response.tier == "fast") {
-      stats_.fast_responses++;
-    }
-    stats_.queue_seconds_total += response.queue_seconds;
-    stats_.preprocess_seconds_total += response.preprocess_seconds;
-    stats_.solve_seconds_total += response.solve_seconds;
-    if (response.cache_hit) stats_.cache_hits++;
-    for (SloState& slo : slo_states_) {
-      if (slo.policy.tier != tier) continue;
+    // Tiers are distinct (checked at construction): at most one row.
+    for (SloReport& slo : slos_) {
+      if (slo.tier != tier) continue;
       slo.requests++;
-      if (slo.policy.target_latency_ms > 0.0 &&
-          latency * 1000.0 > slo.policy.target_latency_ms) {
+      if (slo.target_latency_ms > 0.0 &&
+          latency * 1000.0 > slo.target_latency_ms) {
         slo.violations++;
         slo.last_violation_trace_id = response.trace_id;
       }
-      break;
     }
   }
   pending.handle->Complete(std::move(response));
 }
 
 std::vector<SloReport> SolverService::SloRowsLocked() const {
-  std::vector<SloReport> rows;
-  rows.reserve(slo_states_.size());
-  for (const SloState& state : slo_states_) {
-    SloReport row;
-    row.tier = state.policy.tier;
-    row.target_latency_ms = state.policy.target_latency_ms;
-    row.error_budget = state.policy.error_budget;
-    row.requests = state.requests;
-    row.violations = state.violations;
-    const double budget =
-        state.policy.error_budget * static_cast<double>(state.requests);
-    row.burn =
-        budget > 0.0 ? static_cast<double>(state.violations) / budget : 0.0;
-    row.last_violation_trace_id = state.last_violation_trace_id;
-    rows.push_back(std::move(row));
+  std::vector<SloReport> rows = slos_;
+  for (SloReport& row : rows) {
+    // The budget is positive (checked at construction), so only a tier
+    // with no requests yet has no burn.
+    row.burn = row.requests == 0
+                   ? 0.0
+                   : static_cast<double>(row.violations) /
+                         (row.error_budget * static_cast<double>(row.requests));
   }
   return rows;
 }
@@ -1786,16 +1673,11 @@ ServiceReport SolverService::Report() const {
   ServiceReport report;
   {
     std::lock_guard<std::mutex> lock(report_mutex_);
-    report = stats_;
     report.slos = SloRowsLocked();
   }
+  counts_.FillReport(&report);
   report.epoch = epoch();
   report.matcher_backend = MatcherBackendName(options_.wma.matcher);
-  report.latency = SummarizeHistogram(latency_hist_.Snapshot());
-  report.latency_fast = SummarizeHistogram(latency_fast_hist_.Snapshot());
-  report.latency_full = SummarizeHistogram(latency_full_hist_.Snapshot());
-  report.latency_degraded =
-      SummarizeHistogram(latency_degraded_hist_.Snapshot());
   return report;
 }
 
@@ -1824,15 +1706,17 @@ ServiceSnapshot SolverService::DebugSnapshot() const {
   {
     std::lock_guard<std::mutex> lock(report_mutex_);
     snap.in_flight = in_flight_;
-    snap.slos = SloRowsLocked();
-    snap.postmortems = stats_.postmortems;
-    snap.degraded = stats_.degraded_responses;
-    snap.shed = stats_.requests_shed;
-    snap.checkpoints = stats_.checkpoints_saved + stats_.checkpoints_restored;
-    snap.fast = stats_.fast_responses;
-    snap.upgrades = stats_.refine_upgrades;
   }
-  snap.latency = SummarizeHistogram(latency_hist_.Snapshot());
+  // The same counts Report() reads, through the same view.
+  const ServiceReport report = Report();
+  snap.latency = report.latency;
+  snap.slos = report.slos;
+  snap.postmortems = report.postmortems;
+  snap.degraded = report.degraded_responses;
+  snap.shed = report.requests_shed;
+  snap.checkpoints = report.checkpoints_saved + report.checkpoints_restored;
+  snap.fast = report.fast_responses;
+  snap.upgrades = report.refine_upgrades;
   return snap;
 }
 
@@ -1846,10 +1730,9 @@ void SolverService::RecordPostmortem(const char* reason, uint64_t trace_id,
       << ", \"t_us\": " << obs::TraceNowUs() << ", \"events\": "
       << obs::FlightEventsJson(options_.postmortem_events) << "}";
   std::string json = out.str();
-  MCFS_COUNT("serve/postmortems", 1);
+  counts_.Add(ServiceCounts::kPostmortems);
   {
     std::lock_guard<std::mutex> lock(report_mutex_);
-    stats_.postmortems++;
     last_postmortem_ = json;
   }
   if (!options_.postmortem_path.empty()) {

@@ -19,6 +19,7 @@
 #include "mcfs/core/wma.h"
 #include "mcfs/graph/dijkstra.h"
 #include "mcfs/graph/graph.h"
+#include "mcfs/serve/service_counts.h"
 #include "mcfs/serve/service_report.h"
 
 namespace mcfs {
@@ -51,7 +52,10 @@ namespace mcfs {
 // One latency SLO tier (DESIGN.md §4.11): requests naming `tier` are
 // held to `target_latency_ms` end to end, with `error_budget` the
 // tolerated violation fraction. Report()/DebugSnapshot() expose the
-// per-tier request/violation counts and the budget burn rate.
+// per-tier request/violation counts and the budget burn rate. The
+// SolverService constructor CHECKs each policy: error_budget in (0, 1],
+// a finite target_latency_ms >= 0, and tiers distinct once "" reads
+// "default".
 struct SloPolicy {
   std::string tier = "default";
   double target_latency_ms = 0.0;  // 0 = no target (tier only counts)
@@ -561,7 +565,7 @@ class SolverService {
 
   void DispatcherLoop();
   void Execute(PendingRequest& pending);
-  // Records the phase metrics / report row and completes the handle.
+  // Counts the completion, bumps its SLO row and completes the handle.
   void FinishRequest(PendingRequest& pending, SolveResponse response);
 
   // --- The request front-end every serving path shares ---
@@ -595,8 +599,8 @@ class SolverService {
   bool InsertCacheLocked(uint64_t epoch, const CacheKey& key,
                          CacheEntry& entry);
   // Replaces the "fast" entry under (epoch, key) in place with the
-  // converged `full`, keeping the planting trace id, and counts the
-  // upgrade under `trace_id`. False when absent or already converged.
+  // converged `full`, keeping the planting trace id; counts the upgrade
+  // and records it under `trace_id`. False when absent or converged.
   bool UpgradeFastEntry(uint64_t epoch, const CacheKey& key,
                         CacheEntry& full, uint64_t trace_id);
 
@@ -694,30 +698,15 @@ class SolverService {
   bool refine_stop_ = false;
   bool refine_active_ = false;
 
-  // Per-tier SLO accounting (report_mutex_).
-  struct SloState {
-    SloPolicy policy;
-    int64_t requests = 0;
-    int64_t violations = 0;
-    uint64_t last_violation_trace_id = 0;
-  };
+  // Every serving event, counted once (DESIGN.md §4.9); Report() and
+  // DebugSnapshot() read from here.
+  ServiceCounts counts_;
 
+  // Guards only the in-flight list, the SLO rows and the last postmortem.
   mutable std::mutex report_mutex_;
-  ServiceReport stats_;
-  std::vector<SloState> slo_states_;
+  std::vector<SloReport> slos_;      // burn is derived on read
   std::vector<uint64_t> in_flight_;  // trace ids inside Execute/Resolve
   std::string last_postmortem_;
-
-  // End-to-end latency histogram (always on — request completion is not
-  // a hot path; one Observe per request). The report's quantiles and
-  // exemplars come from here, not from sampled percentiles.
-  obs::Histogram latency_hist_{"serve/latency_seconds"};
-  // Per-tier latency histograms (DESIGN.md §4.14), keyed by the tier
-  // the response was actually served at — the bench's fast-vs-converged
-  // p99 comparison reads these.
-  obs::Histogram latency_fast_hist_{"serve/latency_fast_seconds"};
-  obs::Histogram latency_full_hist_{"serve/latency_full_seconds"};
-  obs::Histogram latency_degraded_hist_{"serve/latency_degraded_seconds"};
 
   std::thread dispatcher_;
   std::thread refiner_;

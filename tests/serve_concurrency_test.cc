@@ -1,8 +1,9 @@
 // Concurrency contract of SolverService, written to run under TSan:
 // requests racing a catalog update must each see one whole epoch (the
-// pre- or the post-update catalog, never a torn mix), and concurrent
+// pre- or the post-update catalog, never a torn mix), concurrent
 // clients always receive responses bit-identical to direct SolveWma
-// calls on the instances their requests describe.
+// calls on the instances their requests describe, and the report and
+// snapshot views over the service's counts never go backwards.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "mcfs/common/fault_plan.h"
 #include "mcfs/core/wma.h"
 #include "mcfs/serve/solver_service.h"
 #include "tests/test_util.h"
@@ -207,6 +209,97 @@ TEST(ServeConcurrencyTest, HandleCanBeAwaitedFromSeveralThreads) {
   }
   for (std::thread& waiter : waiters) waiter.join();
   EXPECT_EQ(ok_count.load(), 4);
+}
+
+// Report() and DebugSnapshot() are views over one set of counts. Polled
+// while clients mix fast, full, degraded and shed requests, no count
+// ever decreases; once the load and its refinements drain, the two views
+// agree.
+TEST(ServeConcurrencyTest, ReportAndSnapshotStayConsistentUnderLoad) {
+  Rng rng(35);
+  testing_util::RandomInstance ri =
+      testing_util::MakeRandomInstance(150, 40, 20, 8, 12, rng);
+  FaultPlanSpec spec;
+  spec.seed = 7;
+  spec.rate[static_cast<int>(FaultKind::kDeadlineCut)] = 0.5;
+  spec.rate[static_cast<int>(FaultKind::kQueuePulse)] = 0.1;
+  ServiceOptions options;
+  options.serve_threads = 2;
+  options.max_batch = 2;
+  options.fault_plan = std::make_shared<FaultPlan>(spec);
+  options.expected_solve_ms = 10000.0;  // SLA requests answer fast
+  options.slos.push_back({"default", 1e9, 0.5});
+  SolverService service(ri.instance.graph, ri.instance.facility_nodes,
+                        ri.instance.capacities, options);
+
+  struct Counts {
+    std::vector<int64_t> report;
+    std::vector<int64_t> snapshot;
+  };
+  const auto read = [&service] {
+    const ServiceReport r = service.Report();
+    const ServiceSnapshot s = service.DebugSnapshot();
+    return Counts{{r.requests_admitted, r.requests_rejected,
+                   r.requests_completed, r.requests_failed, r.requests_shed,
+                   r.cache_hits, r.batches, r.postmortems,
+                   r.degraded_responses, r.faults_injected, r.fast_responses,
+                   r.refines_enqueued, r.refine_runs, r.refine_upgrades,
+                   r.refine_discards, r.latency.count, r.latency_fast.count,
+                   r.latency_full.count, r.slos[0].requests},
+                  {s.latency.count, s.postmortems, s.degraded, s.shed,
+                   s.fast, s.upgrades, s.slos[0].requests}};
+  };
+  std::atomic<bool> done{false};
+  std::thread poller([&] {
+    Counts last = read();
+    do {
+      const Counts now = read();
+      for (size_t i = 0; i < now.report.size(); ++i) {
+        EXPECT_GE(now.report[i], last.report[i]) << "report count " << i;
+      }
+      for (size_t i = 0; i < now.snapshot.size(); ++i) {
+        EXPECT_GE(now.snapshot[i], last.snapshot[i]) << "snapshot count " << i;
+      }
+      last = now;
+    } while (!done.load());
+  });
+
+  constexpr int kClients = 3;
+  constexpr int kRequestsPerClient = 12;
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kClients; ++t) {
+    clients.emplace_back([&, t] {
+      for (int r = 0; r < kRequestsPerClient; ++r) {
+        // Eight identities, so repeats hit the cache; every other request
+        // is an SLA request the instant responder answers.
+        SolveRequest request;
+        request.customers = ri.instance.customers;
+        request.customers.resize(ri.instance.m() - 3 * ((t * 5 + r) % 8));
+        request.k = ri.instance.k;
+        request.allow_degraded = true;
+        if (r % 2 == 0) request.max_latency_ms = 1;
+        service.SolveSync(std::move(request));
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  service.DrainRefinements();
+  done.store(true);
+  poller.join();
+
+  const ServiceReport report = service.Report();
+  const ServiceSnapshot snap = service.DebugSnapshot();
+  EXPECT_EQ(report.requests_admitted + report.requests_shed,
+            kClients * kRequestsPerClient);
+  EXPECT_GT(report.fast_responses, 0);
+  EXPECT_EQ(snap.fast, report.fast_responses);
+  EXPECT_EQ(snap.degraded, report.degraded_responses);
+  EXPECT_EQ(snap.shed, report.requests_shed);
+  EXPECT_EQ(snap.upgrades, report.refine_upgrades);
+  EXPECT_EQ(snap.postmortems, report.postmortems);
+  EXPECT_EQ(report.latency.count, report.requests_completed);
+  EXPECT_EQ(snap.latency.count, report.requests_completed);
+  EXPECT_EQ(report.slos[0].requests, report.requests_completed);
 }
 
 }  // namespace

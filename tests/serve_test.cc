@@ -9,17 +9,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "mcfs/common/deadline.h"
+#include "mcfs/common/fault_plan.h"
 #include "mcfs/common/timer.h"
 #include "mcfs/core/verifier.h"
 #include "mcfs/core/wma.h"
 #include "mcfs/obs/flight_recorder.h"
 #include "mcfs/obs/histogram.h"
+#include "mcfs/obs/metrics.h"
 #include "mcfs/obs/trace.h"
 #include "mcfs/serve/solver_service.h"
 #include "tests/test_util.h"
@@ -867,6 +871,202 @@ TEST(ServeTest, QueueDelayShedRejectsDoomedRequestsAtAdmission) {
   const ServiceReport report = service->Report();
   EXPECT_GE(report.requests_shed, 1);
   EXPECT_EQ(report.requests_rejected, 0);  // sheds are their own class
+}
+
+// One count per serving event: the registry's serve/* and resolve/*
+// metrics mirror the service's own counts, so with one service in the
+// process each equals its report field. Drives every counted event once.
+TEST(ServeTest, RegistryAndReportCountEveryEventOnce) {
+  obs::ResetMetrics();
+  obs::EnableMetrics(true);
+  ServeFixture fx(42);
+  FaultPlanSpec spec;  // the first poll of each kind fires, no later one
+  for (const FaultKind kind : {FaultKind::kDeadlineCut, FaultKind::kQueuePulse,
+                               FaultKind::kCheckpointIo}) {
+    spec.rate[static_cast<int>(kind)] = 1.0;
+    spec.max_fires[static_cast<int>(kind)] = 1;
+  }
+  ServiceOptions options;
+  options.fault_plan = std::make_shared<FaultPlan>(spec);
+  // A 10 s estimate sends every SLA request to the fast tier.
+  options.expected_solve_ms = 10000.0;
+  // Every solve gets this poll budget: the few-customer requests below
+  // (k >= m) converge inside it, and the whole-population refinement does
+  // not, so its fast cache entry stays "fast".
+  options.wma.deadline = Deadline::AfterPolls(20);
+  auto service = fx.MakeService(options);
+
+  const std::vector<NodeId>& all = fx.catalog().customers;
+  SolveRequest few;
+  few.customers.assign(all.begin(), all.begin() + 4);
+  few.k = fx.catalog().k;
+  SolveRequest few_sla = few;
+  few_sla.customers.push_back(all[4]);
+  few_sla.max_latency_ms = 1;
+  SolveRequest all_sla;
+  all_sla.customers = all;
+  all_sla.k = fx.catalog().k;
+  all_sla.max_latency_ms = 1;
+  SolveRequest degradable = few;
+  degradable.customers.push_back(all[5]);
+  degradable.allow_degraded = true;
+  SolveRequest invalid = few;
+  invalid.k = -3;
+
+  // Shed by the queue pulse, then degraded by the planted deadline cut.
+  EXPECT_EQ(service->SolveSync(few).status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(service->SolveSync(degradable).tier, "degraded");
+  // A full entry hit, a failure, and a fast entry hit.
+  const SolveResponse full = service->SolveSync(few);
+  ASSERT_TRUE(full.status.ok()) << full.status.ToString();
+  ASSERT_EQ(full.solution.termination, Termination::kConverged);
+  EXPECT_TRUE(service->SolveSync(few).cache_hit);
+  EXPECT_FALSE(service->SolveSync(invalid).status.ok());
+  EXPECT_EQ(service->SolveSync(all_sla).tier, "fast");
+  service->DrainRefinements();
+  const SolveResponse fast_hit = service->SolveSync(all_sla);
+  EXPECT_TRUE(fast_hit.cache_hit);
+  EXPECT_EQ(fast_hit.tier, "fast");
+  // A refinement that converges upgrades its entry in place.
+  EXPECT_EQ(service->SolveSync(few_sla).tier, "fast");
+  service->DrainRefinements();
+  EXPECT_EQ(service->ProbeCache(few_sla).tier, "full");
+
+  // A no-op and two real updates around a cold and a warm resolve.
+  UpdateRequest arrive;
+  for (int i = 0; i < 3; ++i) {
+    arrive.ops.push_back({UpdateKind::kCustomerArrive, all[i], 0});
+  }
+  const StatusOr<UpdateResult> noop = service->ApplyUpdate({});
+  ASSERT_TRUE(noop.ok() && noop.value().noop);
+  ASSERT_TRUE(service->ApplyUpdate(arrive).ok());
+  EXPECT_FALSE(service->ResolveTracked(few.k).warm_attempted);
+  UpdateRequest grow;
+  grow.ops.push_back({UpdateKind::kCapacityDelta,
+                      fx.catalog().facility_nodes[0], 1});
+  grow.ops.push_back({UpdateKind::kCustomerArrive, all[3], 0});
+  const StatusOr<UpdateResult> grown = service->ApplyUpdate(grow);
+  ASSERT_TRUE(grown.ok() && grown.value().epoch_bumped);
+  EXPECT_TRUE(service->ResolveTracked(few.k).warm_served);
+
+  // A faulted and a real checkpoint save, a failed and a real restore.
+  const std::string path =
+      ::testing::TempDir() + "/serve_registry_parity.mcfsckpt";
+  EXPECT_FALSE(service->CheckpointTo(path).ok());
+  EXPECT_TRUE(service->CheckpointTo(path).ok());
+  EXPECT_FALSE(service->RestoreFrom(path + ".missing").ok());
+  EXPECT_TRUE(service->RestoreFrom(path).ok());
+  service->Shutdown();
+  EXPECT_TRUE(service->SolveSync(few).shutdown);  // rejected
+
+  const ServiceReport report = service->Report();
+  const obs::MetricsSnapshot metrics = obs::SnapshotMetrics();
+  obs::EnableMetrics(false);
+  const std::map<std::string, int64_t> fields = {
+      {"serve/requests_admitted", report.requests_admitted},
+      {"serve/requests_rejected", report.requests_rejected},
+      {"serve/requests_completed", report.requests_completed},
+      {"serve/requests_failed", report.requests_failed},
+      {"serve/requests_shed", report.requests_shed},
+      {"serve/cache_hits", report.cache_hits},
+      {"serve/deadline_terminations", report.deadline_terminations},
+      {"serve/batches", report.batches},
+      {"serve/epoch_rebuilds", report.epochs_built},
+      {"serve/postmortems", report.postmortems},
+      {"serve/degraded_responses", report.degraded_responses},
+      {"serve/degraded_fallbacks", report.degraded_fallbacks},
+      {"serve/checkpoints_saved", report.checkpoints_saved},
+      {"serve/checkpoints_restored", report.checkpoints_restored},
+      {"serve/checkpoint_failures", report.checkpoint_failures},
+      {"serve/faults_injected", report.faults_injected},
+      {"serve/tier_fast", report.fast_responses},
+      {"serve/fast_fallthroughs", report.fast_fallthroughs},
+      {"serve/refines_enqueued", report.refines_enqueued},
+      {"serve/refine_runs", report.refine_runs},
+      {"serve/tier_upgrades", report.refine_upgrades},
+      {"serve/refine_discards", report.refine_discards},
+      {"resolve/updates", report.resolve_updates},
+      {"resolve/noop_updates", report.resolve_noop_updates},
+      {"resolve/deltas_classified", report.resolve_ops_applied},
+      {"resolve/components_dirtied", report.resolve_components_dirtied},
+      {"resolve/warm_repairs", report.resolves_warm},
+      {"resolve/cold_fallbacks", report.resolves_cold},
+      {"resolve/verify_rejections", report.resolve_verify_rejections},
+      {"resolve/warm_customers_reused", report.warm_customers_reused},
+      {"resolve/warm_customers_repaired", report.warm_customers_repaired},
+  };
+  for (const auto& [name, value] : metrics.counters) {
+    if (name.rfind("serve/", 0) != 0 && name.rfind("resolve/", 0) != 0) {
+      continue;
+    }
+    ASSERT_TRUE(fields.count(name) != 0) << name << " has no report field";
+    EXPECT_EQ(value, fields.at(name)) << name;
+  }
+  for (const auto& [name, value] : fields) {
+    const auto it = metrics.counters.find(name);
+    EXPECT_EQ(it == metrics.counters.end() ? 0 : it->second, value) << name;
+  }
+  const obs::DistSnapshot& batch = metrics.distributions.at("serve/batch_size");
+  EXPECT_EQ(batch.count, report.batches);
+  EXPECT_EQ(static_cast<int>(batch.max), report.max_batch_size);
+  EXPECT_EQ(metrics.distributions.at("serve/latency_seconds").count,
+            report.latency.count);
+
+  // Each event above happened.
+  EXPECT_EQ(report.requests_shed, 1);
+  EXPECT_EQ(report.requests_rejected, 1);
+  EXPECT_EQ(report.requests_admitted, 7);
+  EXPECT_EQ(report.requests_completed, 7);
+  EXPECT_EQ(report.requests_failed, 1);
+  EXPECT_EQ(report.latency.count, report.requests_completed);
+  EXPECT_EQ(report.cache_hits, 2);
+  EXPECT_EQ(report.degraded_responses, 1);
+  EXPECT_EQ(report.fast_responses, 3);
+  EXPECT_EQ(report.faults_injected, 3);
+  EXPECT_EQ(report.refines_enqueued, 2);
+  EXPECT_EQ(report.refine_runs, 2);
+  EXPECT_EQ(report.refine_upgrades, 1);
+  EXPECT_EQ(report.refine_discards, 1);
+  EXPECT_EQ(report.resolve_updates, 2);
+  EXPECT_EQ(report.resolve_noop_updates, 1);
+  EXPECT_EQ(report.resolve_ops_applied, 5);
+  EXPECT_GE(report.resolve_components_dirtied, 1);
+  EXPECT_EQ(report.resolves_cold, 1);
+  EXPECT_EQ(report.resolves_warm, 1);
+  EXPECT_EQ(report.checkpoints_saved, 1);
+  EXPECT_EQ(report.checkpoints_restored, 1);
+  EXPECT_EQ(report.checkpoint_failures, 2);
+  EXPECT_EQ(report.epochs_built, 3);
+  EXPECT_GE(report.postmortems, 1);
+}
+
+// SLO rows are configuration, checked at construction like the catalog.
+// A zero budget would report burn 0 however many requests violate.
+TEST(ServeDeathTest, SloErrorBudgetOutsideUnitIntervalIsRejected) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ServeFixture fx(43);
+  ServiceOptions options;
+  options.slos.push_back({"default", 5.0, 0.0});
+  EXPECT_DEATH(fx.MakeService(options), "error_budget");
+}
+
+TEST(ServeDeathTest, SloTargetThatIsNotFiniteIsRejected) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ServeFixture fx(43);
+  ServiceOptions options;
+  options.slos.push_back(
+      {"default", std::numeric_limits<double>::quiet_NaN(), 0.01});
+  EXPECT_DEATH(fx.MakeService(options), "target_latency_ms");
+}
+
+// "" reads "default": a second row for the same tier would never count.
+TEST(ServeDeathTest, SloTierConfiguredTwiceIsRejected) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ServeFixture fx(43);
+  ServiceOptions options;
+  options.slos.push_back({"", 5.0, 0.01});
+  options.slos.push_back({"default", 50.0, 0.01});
+  EXPECT_DEATH(fx.MakeService(options), "configured twice");
 }
 
 TEST(ServeTest, LatencySummaryQuantiles) {
