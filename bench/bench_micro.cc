@@ -7,6 +7,8 @@
 
 #include <queue>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "mcfs/common/dary_heap.h"
 #include "mcfs/common/flat_map.h"
@@ -143,27 +145,60 @@ BENCHMARK(BM_MatcherPrefetch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()
     ->UseRealTime();
 
+// Replays the WMA demand-growth pattern: one CoverIndex across a
+// sequence of CheckCover calls, the first over a fresh sigma and each
+// later one after a few facilities gained a matched customer. Items are
+// CheckCover calls.
 void BM_CheckCover(benchmark::State& state) {
   const int l = static_cast<int>(state.range(0));
   const int m = l * 4;
+  constexpr int kSteps = 64;
+  constexpr int kChangesPerStep = 9;
   Rng rng(4);
-  std::vector<std::vector<int>> sigma(l);
+  std::vector<std::vector<int>> initial_sigma(l);
   for (int j = 0; j < l; ++j) {
     for (int t = 0; t < 8; ++t) {
-      sigma[j].push_back(static_cast<int>(rng.UniformInt(0, m - 1)));
+      initial_sigma[j].push_back(static_cast<int>(rng.UniformInt(0, m - 1)));
     }
   }
+  // (facility, customer) matches added before each later step.
+  std::vector<std::pair<int, int>> growth;
+  for (int c = 0; c < (kSteps - 1) * kChangesPerStep; ++c) {
+    growth.emplace_back(static_cast<int>(rng.UniformInt(0, l - 1)),
+                        static_cast<int>(rng.UniformInt(0, m - 1)));
+  }
   const std::vector<int> demand(m, 1);
+  std::vector<std::vector<int>> sigma;
+  int64_t selections = 0;
   for (auto _ : state) {
-    std::vector<int64_t> last_selected(l, -1);
+    state.PauseTiming();
+    sigma = initial_sigma;
+    state.ResumeTiming();
+    CoverIndex index(l);
     CoverInput input;
     input.num_customers = m;
     input.k = l / 10 + 1;
     input.customers_of_facility = &sigma;
     input.demand = &demand;
     input.demand_cap = l;
-    benchmark::DoNotOptimize(CheckCover(input, last_selected, 0));
+    for (int step = 0; step < kSteps; ++step) {
+      if (step > 0) {
+        for (int c = 0; c < kChangesPerStep; ++c) {
+          const auto [j, customer] =
+              growth[(step - 1) * kChangesPerStep + c];
+          sigma[j].push_back(customer);
+          index.MarkChanged(j);
+        }
+      }
+      const CoverResult result = CheckCover(input, index, step);
+      benchmark::DoNotOptimize(result.selected.data());
+      selections += static_cast<int64_t>(result.selected.size());
+    }
   }
+  state.counters["selections_per_call"] = benchmark::Counter(
+      static_cast<double>(selections) /
+      static_cast<double>(state.iterations() * kSteps));
+  state.SetItemsProcessed(state.iterations() * kSteps);
 }
 BENCHMARK(BM_CheckCover)->Arg(256)->Arg(2048);
 

@@ -58,21 +58,28 @@ class GreedyDemandMatcher {
         threads);
   }
 
-  // Rebuilds the full exploratory assignment for the given demands.
+  // Rebuilds the full exploratory assignment for the given demands,
+  // clearing sigma in place, and reports every facility whose sigma_j it
+  // emptied or filled to `cover_index`.
   void AssignDemands(const std::vector<int>& demand, Rng& rng,
                      std::vector<std::vector<int>>* sigma,
                      std::vector<double>* matched_cost,
-                     std::vector<uint8_t>* saturated) {
+                     std::vector<uint8_t>* saturated,
+                     CoverIndex* cover_index) {
     const int m = instance_.m();
     const int l = instance_.l();
-    sigma->assign(l, {});
+    for (int j = 0; j < l; ++j) {
+      if ((*sigma)[j].empty()) continue;
+      (*sigma)[j].clear();
+      cover_index->MarkChanged(j);
+    }
     matched_cost->assign(l, 0.0);
     saturated->assign(m, 0);
-    std::vector<int> load(l, 0);
-    std::vector<int> order(m);
-    std::iota(order.begin(), order.end(), 0);
-    rng.Shuffle(order);
-    for (const int i : order) {
+    load_.assign(l, 0);
+    order_.resize(m);
+    std::iota(order_.begin(), order_.end(), 0);
+    rng.Shuffle(order_);
+    for (const int i : order_) {
       int taken = 0;
       for (size_t idx = 0; taken < demand[i]; ++idx) {
         const FacilityAtDistance* entry = CachedAt(i, idx);
@@ -80,10 +87,11 @@ class GreedyDemandMatcher {
           (*saturated)[i] = 1;
           break;
         }
-        if (load[entry->facility] < instance_.capacities[entry->facility]) {
-          load[entry->facility]++;
+        if (load_[entry->facility] < instance_.capacities[entry->facility]) {
+          load_[entry->facility]++;
           (*sigma)[entry->facility].push_back(i);
           (*matched_cost)[entry->facility] += entry->distance;
+          cover_index->MarkChanged(entry->facility);
           ++taken;
         }
       }
@@ -153,6 +161,9 @@ class GreedyDemandMatcher {
   std::vector<int> facility_index_of_node_;
   std::vector<std::vector<FacilityAtDistance>> cache_;
   std::vector<std::unique_ptr<NearestFacilityStream>> streams_;
+  // AssignDemands scratch, reused across iterations.
+  std::vector<int> load_;
+  std::vector<int> order_;
 };
 
 int64_t DefaultIterationCap(const McfsInstance& instance) {
@@ -220,9 +231,11 @@ WmaResult RunWma(const McfsInstance& instance, const WmaOptions& options) {
 
   std::vector<int> demand(m, 1);
   std::vector<uint8_t> saturated(m, 0);
-  std::vector<int64_t> last_selected(l, -1);
   std::vector<std::vector<int>> sigma(l);
   std::vector<double> matched_cost(l, 0.0);
+  // CheckCover's candidate order persists across iterations; only the
+  // facilities whose sigma_j changed are re-keyed (DESIGN.md §3).
+  CoverIndex cover_index(l);
   Rng rng(options.seed);
 
   std::unique_ptr<IncrementalMatcher> matcher;
@@ -294,6 +307,7 @@ WmaResult RunWma(const McfsInstance& instance, const WmaOptions& options) {
   // matcher pays each Dijkstra inline, exactly as before.
   const int threads = ResolveThreadCount(options.threads);
   std::vector<int> prefetch_counts;
+  std::vector<int> changed_facilities;
   CoverResult cover;
   for (int64_t iteration = 0; iteration < max_iterations; ++iteration) {
     if (expired()) {
@@ -320,7 +334,7 @@ WmaResult RunWma(const McfsInstance& instance, const WmaOptions& options) {
           greedy->Prefetch(demand, threads);
         }
         greedy->AssignDemands(demand, rng, &sigma, &matched_cost,
-                              &saturated);
+                              &saturated, &cover_index);
       } else {
         if (threads > 1) {
           MCFS_SPAN("wma/prefetch");
@@ -346,14 +360,11 @@ WmaResult RunWma(const McfsInstance& instance, const WmaOptions& options) {
           // augmentation is complete).
           if (expired()) deadline_fired = true;
         }
-        for (int j = 0; j < l; ++j) {
-          sigma[j].clear();
-          matched_cost[j] = 0.0;
-        }
-        for (const MatchedPair& pair : matcher->MatchedPairs()) {
-          sigma[pair.facility].push_back(pair.customer);
-          matched_cost[pair.facility] += pair.distance;
-        }
+        // Re-sync sigma_j and matched_cost[j] only for the facilities
+        // whose match set changed, bit-equal to a full rebuild.
+        matcher->SyncChangedFacilities(&sigma, &matched_cost,
+                                       &changed_facilities);
+        for (const int j : changed_facilities) cover_index.MarkChanged(j);
       }
     }
     result.stats.matching_seconds += matching_seconds;
@@ -376,7 +387,7 @@ WmaResult RunWma(const McfsInstance& instance, const WmaOptions& options) {
       input.saturated = &saturated;
       if (options.cost_tie_break) input.matched_cost = &matched_cost;
       if (!deadline.never_expires()) input.deadline = &deadline;
-      cover = CheckCover(input, last_selected, iteration);
+      cover = CheckCover(input, cover_index, iteration);
       if (cover.deadline_expired) deadline_fired = true;
     }
     result.stats.cover_seconds += cover_seconds;

@@ -29,6 +29,7 @@ IncrementalMatcher::IncrementalMatcher(const Graph* graph,
   customer_match_count_.assign(m_, 0);
   edges_.resize(m_);
   facility_matches_.resize(l_);
+  facility_changed_.assign(l_, 0);
   potential_.assign(m_ + l_, 0.0);
   facility_index_of_node_.assign(graph_->NumNodes(), -1);
   for (int j = 0; j < l_; ++j) {
@@ -259,6 +260,7 @@ void IncrementalMatcher::Augment(int source_customer,
         if (edge.facility == facility && !edge.matched) {
           edge.matched = true;
           facility_matches_[facility].push_back({prev, edge.weight});
+          MarkChanged(facility);
           flipped = true;
           break;
         }
@@ -277,6 +279,7 @@ void IncrementalMatcher::Augment(int source_customer,
         }
       }
       MCFS_CHECK(flipped);
+      MarkChanged(facility);
       auto& matches = facility_matches_[facility];
       for (size_t i = 0; i < matches.size(); ++i) {
         if (matches[i].customer == current) {
@@ -387,6 +390,35 @@ std::vector<int> IncrementalMatcher::CustomersOf(int facility) const {
   return customers;
 }
 
+void IncrementalMatcher::SyncChangedFacilities(
+    std::vector<std::vector<int>>* sigma, std::vector<double>* cost,
+    std::vector<int>* changed) {
+  MCFS_CHECK_EQ(sigma->size(), static_cast<size_t>(l_));
+  MCFS_CHECK_EQ(cost->size(), static_cast<size_t>(l_));
+  changed->clear();
+  changed->swap(changed_facilities_);
+  for (const int j : *changed) {
+    facility_changed_[j] = 0;
+    // A customer holds at most one edge per facility (its stream yields
+    // each facility once), so sorting by customer alone is the edge walk
+    // order of MatchedPairs().
+    sync_scratch_.assign(facility_matches_[j].begin(),
+                         facility_matches_[j].end());
+    std::sort(sync_scratch_.begin(), sync_scratch_.end(),
+              [](const FacilityMatch& a, const FacilityMatch& b) {
+                return a.customer < b.customer;
+              });
+    std::vector<int>& customers = (*sigma)[j];
+    customers.clear();
+    double sum = 0.0;
+    for (const FacilityMatch& match : sync_scratch_) {
+      customers.push_back(match.customer);
+      sum += match.weight;
+    }
+    (*cost)[j] = sum;
+  }
+}
+
 std::vector<MatchedPair> IncrementalMatcher::MatchedPairs() const {
   std::vector<MatchedPair> pairs;
   for (int i = 0; i < m_; ++i) {
@@ -482,6 +514,7 @@ IncrementalMatcher::ResumeStats IncrementalMatcher::ResumeFrom(
           assigned_count_[j] < capacities_[j]) {
         edge.matched = true;
         facility_matches_[j].push_back(FacilityMatch{i, entry.weight});
+        MarkChanged(j);
         ++assigned_count_[j];
         ++customer_match_count_[i];
         ++stats.matches_adopted;
@@ -555,6 +588,7 @@ IncrementalMatcher::ResumeStats IncrementalMatcher::ResumeFrom(
         --customer_match_count_[i];
         --stats.matches_adopted;
         ++stats.matches_dropped;
+        MarkChanged(edge.facility);
         auto& matches = facility_matches_[edge.facility];
         for (size_t idx = 0; idx < matches.size(); ++idx) {
           if (matches[idx].customer == i) {

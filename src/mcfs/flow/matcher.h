@@ -133,6 +133,18 @@ class IncrementalMatcher {
   // Customers currently assigned to `facility` (the paper's sigma_j).
   std::vector<int> CustomersOf(int facility) const;
 
+  // Brings per-facility views of the matching up to date. For every
+  // facility j whose match set changed since the previous call (a match
+  // gained or lost in FindPair, adopted or dropped in ResumeFrom),
+  // rewrites (*sigma)[j] to its matched customers in ascending order and
+  // (*cost)[j] to their distances summed in that order from 0.0 — the
+  // order MatchedPairs() walks, so both are bit-equal to a rebuild from
+  // it — and lists j, once, in *changed (previous contents discarded).
+  // Both views must hold num_facilities() entries.
+  void SyncChangedFacilities(std::vector<std::vector<int>>* sigma,
+                             std::vector<double>* cost,
+                             std::vector<int>* changed);
+
   // All matched pairs with distances.
   std::vector<MatchedPair> MatchedPairs() const;
 
@@ -252,6 +264,11 @@ class IncrementalMatcher {
   void Augment(int source_customer, const SearchResult& found);
   void UpdatePotentials(double sink_distance);
   void RecheckNegativeArcs();
+  void MarkChanged(int facility) {
+    if (facility_changed_[facility]) return;
+    facility_changed_[facility] = 1;
+    changed_facilities_.push_back(facility);
+  }
   double ReducedCost(int customer, const MatchEdge& edge) const {
     return edge.weight - potential_[customer] +
            potential_[GbFacilityNode(edge.facility)];
@@ -271,6 +288,10 @@ class IncrementalMatcher {
   std::vector<int> facility_index_of_node_;  // size graph nodes
   std::vector<std::unique_ptr<NearestFacilityStream>> streams_;
   std::vector<std::pair<int, int>> negative_arcs_;  // (customer, edge idx)
+  // Facilities whose match set changed since SyncChangedFacilities.
+  std::vector<int> changed_facilities_;
+  std::vector<uint8_t> facility_changed_;  // size l_, membership flag
+  std::vector<FacilityMatch> sync_scratch_;
 
   struct GbHeapEntry {
     double dist;

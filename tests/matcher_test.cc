@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
 #include <utility>
 
@@ -199,6 +202,125 @@ TEST_P(MatcherDemandOptimalityTest, MultiDemandMatchesOracle) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSweep, MatcherDemandOptimalityTest,
                          ::testing::Range(0, 40));
+
+// sigma_j and matched costs rebuilt from every matched pair, the way the
+// WMA loop built them before it synced only the changed facilities.
+void RebuildFromPairs(const IncrementalMatcher& matcher,
+                      std::vector<std::vector<int>>* sigma,
+                      std::vector<double>* cost) {
+  sigma->assign(matcher.num_facilities(), {});
+  cost->assign(matcher.num_facilities(), 0.0);
+  for (const MatchedPair& pair : matcher.MatchedPairs()) {
+    (*sigma)[pair.facility].push_back(pair.customer);
+    (*cost)[pair.facility] += pair.distance;
+  }
+}
+
+// Syncs the running views from the matcher's changed list and checks
+// them, bit for bit, against a full rebuild. Returns the number of
+// facilities the sync touched.
+size_t SyncAndCompare(IncrementalMatcher& matcher,
+                      std::vector<std::vector<int>>* sigma,
+                      std::vector<double>* cost) {
+  std::vector<int> changed;
+  matcher.SyncChangedFacilities(sigma, cost, &changed);
+  std::vector<std::vector<int>> rebuilt_sigma;
+  std::vector<double> rebuilt_cost;
+  RebuildFromPairs(matcher, &rebuilt_sigma, &rebuilt_cost);
+  EXPECT_EQ(*sigma, rebuilt_sigma);
+  for (int j = 0; j < matcher.num_facilities(); ++j) {
+    EXPECT_EQ(std::bit_cast<uint64_t>((*cost)[j]),
+              std::bit_cast<uint64_t>(rebuilt_cost[j]))
+        << "facility " << j << ": " << (*cost)[j] << " vs "
+        << rebuilt_cost[j];
+  }
+  return changed.size();
+}
+
+// The changed-facility sync must equal a full rebuild after every
+// FindPair, including the augmentations that unmatch (rewire) earlier
+// pairs — their swap-removal reorders a facility's match list, which the
+// sync's sort by customer undoes. Capacities are tight, so demand growth
+// forces rewirings.
+class MatcherChangedSyncTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(MatcherChangedSyncTest, SyncEqualsRebuildAfterEveryFindPair) {
+  Rng rng(7000 + GetParam());
+  const int m = 24;
+  const int l = 10;
+  RandomInstance ri = MakeRandomInstance(60, m, l, l, 3, rng);
+  IncrementalMatcher matcher(ri.instance.graph, ri.instance.customers,
+                             ri.instance.facility_nodes,
+                             ri.instance.capacities);
+  std::vector<std::vector<int>> sigma(l);
+  std::vector<double> cost(l, 0.0);
+  std::vector<uint8_t> saturated(m, 0);
+  for (int demand = 1; demand <= 3; ++demand) {
+    for (int i = 0; i < m; ++i) {
+      while (!saturated[i] && matcher.CustomerMatchCount(i) < demand) {
+        if (!matcher.FindPair(i)) saturated[i] = 1;
+        SyncAndCompare(matcher, &sigma, &cost);
+      }
+    }
+  }
+  EXPECT_GT(matcher.num_rewirings(), 0);
+  // Nothing changed since the last sync: the next one touches nothing.
+  EXPECT_EQ(SyncAndCompare(matcher, &sigma, &cost), 0u);
+}
+
+// A matcher resumed from a seed under lower capacities and with some
+// customers' matches refused drops matches inside ResumeFrom; the sync
+// must report the adopted and dropped facilities alike.
+TEST_P(MatcherChangedSyncTest, SyncEqualsRebuildAfterResumeWithDrops) {
+  Rng rng(7100 + GetParam());
+  const int m = 24;
+  const int l = 10;
+  RandomInstance ri = MakeRandomInstance(60, m, l, l, 4, rng);
+  IncrementalMatcher donor(ri.instance.graph, ri.instance.customers,
+                           ri.instance.facility_nodes,
+                           ri.instance.capacities);
+  for (int demand = 1; demand <= 2; ++demand) {
+    for (int i = 0; i < m; ++i) {
+      if (donor.CustomerMatchCount(i) < demand) donor.FindPair(i);
+    }
+  }
+  const WarmSeed seed = donor.ExportWarmSeed();
+
+  std::vector<int> lower_caps = ri.instance.capacities;
+  for (int& capacity : lower_caps) capacity = std::max(0, capacity - 1);
+  IncrementalMatcher matcher(ri.instance.graph, ri.instance.customers,
+                             ri.instance.facility_nodes, lower_caps);
+  std::vector<int> seed_of(m);
+  std::vector<uint8_t> adopt_match(m, 1);
+  for (int i = 0; i < m; ++i) {
+    seed_of[i] = i;
+    if (i % 5 == 0) adopt_match[i] = 0;
+  }
+  const IncrementalMatcher::ResumeStats stats =
+      matcher.ResumeFrom(seed, seed_of, adopt_match);
+  ASSERT_GT(stats.matches_dropped, 0);
+
+  std::vector<std::vector<int>> sigma(l);
+  std::vector<double> cost(l, 0.0);
+  const size_t changed = SyncAndCompare(matcher, &sigma, &cost);
+  size_t holding = 0;
+  for (const std::vector<int>& customers : sigma) {
+    holding += customers.empty() ? 0 : 1;
+  }
+  EXPECT_GE(changed, holding);
+  std::vector<uint8_t> saturated(m, 0);
+  for (int demand = 1; demand <= 3; ++demand) {
+    for (int i = 0; i < m; ++i) {
+      while (!saturated[i] && matcher.CustomerMatchCount(i) < demand) {
+        if (!matcher.FindPair(i)) saturated[i] = 1;
+        SyncAndCompare(matcher, &sigma, &cost);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSweep, MatcherChangedSyncTest,
+                         ::testing::Range(0, 8));
 
 }  // namespace
 }  // namespace mcfs
