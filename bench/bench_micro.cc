@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the performance-critical
 // primitives: network Dijkstra, the incremental nearest-facility
-// stream, optimal bipartite matching, the set-cover heuristic, and the
-// dense transportation oracle.
+// stream, optimal bipartite matching, the set-cover heuristic, the
+// SelectGreedy top-up, and the dense transportation oracle.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +13,7 @@
 #include "mcfs/common/dary_heap.h"
 #include "mcfs/common/flat_map.h"
 #include "mcfs/common/random.h"
+#include "mcfs/core/repair.h"
 #include "mcfs/core/set_cover.h"
 #include "mcfs/flow/cost_scaling.h"
 #include "mcfs/flow/matcher.h"
@@ -201,6 +202,35 @@ void BM_CheckCover(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kSteps);
 }
 BENCHMARK(BM_CheckCover)->Arg(256)->Arg(2048);
+
+// SelectGreedy (Alg. 4) in the serving shape: an Aalborg network of
+// about 2,400 nodes, l = 300 candidates, k = 75, topped up from a k/5
+// selection. Items are added facilities.
+void BM_SelectGreedy(benchmark::State& state) {
+  static const Graph* graph =
+      new Graph(GenerateCity(AalborgPreset(0.04, 42)));
+  constexpr int kCustomers = 120;
+  constexpr int kFacilities = 300;
+  constexpr int kBudget = 75;
+  Rng rng(12);
+  McfsInstance instance;
+  instance.graph = graph;
+  instance.customers = SampleNodesWithReplacement(*graph, kCustomers, rng);
+  instance.facility_nodes = SampleDistinctNodes(*graph, kFacilities, rng);
+  instance.capacities = UniformCapacities(kFacilities, 10);
+  instance.k = kBudget;
+  const std::vector<int> start =
+      rng.SampleWithoutReplacement(kFacilities, kBudget / 5);
+  std::vector<int> selected;
+  for (auto _ : state) {
+    selected = start;
+    SelectGreedy(instance, selected);
+    benchmark::DoNotOptimize(selected.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kBudget - start.size()));
+}
+BENCHMARK(BM_SelectGreedy)->Unit(benchmark::kMillisecond);
 
 void BM_DenseTransport(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));

@@ -89,7 +89,6 @@ ValidationResult ValidateSolution(const McfsInstance& instance,
 }
 
 bool IsFeasible(const McfsInstance& instance) {
-  if (instance.k > instance.l()) return false;
   const ComponentLabeling components = ConnectedComponents(*instance.graph);
   std::vector<int64_t> customers_in(components.num_components, 0);
   for (const NodeId c : instance.customers) {

@@ -10,6 +10,11 @@ namespace mcfs {
 
 void SelectGreedy(const McfsInstance& instance, std::vector<int>& selected) {
   const int l = instance.l();
+  auto below_budget = [&] {
+    const int size = static_cast<int>(selected.size());
+    return size < instance.k && size < l;
+  };
+  if (!below_budget()) return;
   std::vector<uint8_t> is_selected(l, 0);
   for (const int j : selected) is_selected[j] = 1;
   std::vector<int> facility_index_of_node(instance.graph->NumNodes(), -1);
@@ -17,26 +22,22 @@ void SelectGreedy(const McfsInstance& instance, std::vector<int>& selected) {
     facility_index_of_node[instance.facility_nodes[j]] = j;
   }
 
-  while (static_cast<int>(selected.size()) < instance.k &&
-         static_cast<int>(selected.size()) < l) {
-    // Distance of every customer to its nearest selected facility.
-    std::vector<NodeId> sources;
-    sources.reserve(selected.size());
-    for (const int j : selected) {
-      sources.push_back(instance.facility_nodes[j]);
-    }
-    std::vector<std::pair<double, int>> by_distance;  // (-dist proxy)
-    by_distance.reserve(instance.m());
-    if (sources.empty()) {
-      for (int i = 0; i < instance.m(); ++i) {
-        by_distance.push_back({kInfDistance, i});
-      }
-    } else {
-      const MultiSourceResult msd =
-          MultiSourceDijkstra(*instance.graph, sources);
-      for (int i = 0; i < instance.m(); ++i) {
-        by_distance.push_back({msd.distance[instance.customers[i]], i});
-      }
+  // Distance of every node to its nearest selected facility: one
+  // multi-source run over the starting selection, then lowered by a
+  // pruned search from each added facility (bit-identical to a fresh
+  // MultiSourceDijkstra over the grown selection).
+  std::vector<NodeId> sources;
+  sources.reserve(selected.size());
+  for (const int j : selected) sources.push_back(instance.facility_nodes[j]);
+  std::vector<double> nearest =
+      MultiSourceDijkstra(*instance.graph, sources).distance;
+
+  std::vector<std::pair<double, int>> by_distance;
+  by_distance.reserve(instance.m());
+  while (true) {
+    by_distance.clear();
+    for (int i = 0; i < instance.m(); ++i) {
+      by_distance.push_back({nearest[instance.customers[i]], i});
     }
     std::sort(by_distance.begin(), by_distance.end(),
               [](const auto& a, const auto& b) { return a.first > b.first; });
@@ -65,6 +66,8 @@ void SelectGreedy(const McfsInstance& instance, std::vector<int>& selected) {
     }
     selected.push_back(added);
     is_selected[added] = 1;
+    if (!below_budget()) return;
+    AddMultiSource(*instance.graph, instance.facility_nodes[added], nearest);
   }
 }
 

@@ -11,7 +11,9 @@ namespace mcfs {
 // Each round finds the customer whose distance to the nearest selected
 // facility is largest and adds the unselected candidate facility nearest
 // to that customer. Unreachable customers count as infinitely far, so
-// this also plugs uncovered network components when possible.
+// this also plugs uncovered network components when possible. The
+// customer distances come from one nearest-selected-facility array,
+// built once and lowered by AddMultiSource as each facility joins.
 void SelectGreedy(const McfsInstance& instance, std::vector<int>& selected);
 
 // Algorithm 5 (CoverComponents): revises `selected` (keeping its size)

@@ -117,6 +117,31 @@ MultiSourceResult MultiSourceDijkstra(const Graph& graph,
   return result;
 }
 
+void AddMultiSource(const Graph& graph, NodeId source,
+                    std::vector<double>& distance) {
+  if (distance[source] <= 0.0) return;  // already at a source
+  distance[source] = 0.0;
+  MinHeap heap;
+  heap.push({0.0, source});
+  int64_t settled = 0, relaxed = 0;
+  while (!heap.empty()) {
+    const HeapEntry top = heap.top();
+    heap.pop();
+    if (top.dist > distance[top.node]) continue;
+    ++settled;
+    for (const AdjEntry& e : graph.Neighbors(top.node)) {
+      ++relaxed;
+      const double candidate = top.dist + e.weight;
+      if (candidate < distance[e.to]) {
+        distance[e.to] = candidate;
+        heap.push({candidate, e.to});
+      }
+    }
+  }
+  MCFS_COUNT("dijkstra/nodes_settled", settled);
+  MCFS_COUNT("dijkstra/edges_relaxed", relaxed);
+}
+
 IncrementalDijkstra::IncrementalDijkstra(const Graph* graph, NodeId source,
                                          size_t expected_nodes)
     : graph_(graph), source_(source) {

@@ -38,6 +38,18 @@ struct MultiSourceResult {
 MultiSourceResult MultiSourceDijkstra(const Graph& graph,
                                       const std::vector<NodeId>& sources);
 
+// Adds `source` to the source set behind `distance`, a labeling as
+// MultiSourceDijkstra(...).distance returns it (all kInfDistance for the
+// empty set). A pruned Dijkstra from `source` alone lowers the labels it
+// improves and never expands a node whose label it does not lower, so
+// the cost is the size of the new source's Voronoi cell, not of the
+// graph. The result is bit-identical to MultiSourceDijkstra over the
+// grown set: both labelings are float path sums that no edge improves,
+// and with non-negative weights and monotone rounding there is only one
+// such labeling (DESIGN.md §3, SelectGreedy).
+void AddMultiSource(const Graph& graph, NodeId source,
+                    std::vector<double>& distance);
+
 // Resumable Dijkstra: settles nodes one at a time in non-decreasing
 // distance order, preserving its state between calls. This implements
 // the per-customer "incremental knowledge of network distances" of the

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 
 #include "mcfs/graph/generators.h"
 #include "tests/test_util.h"
@@ -101,6 +103,83 @@ TEST(MultiSourceDijkstraTest, NearestSourceAndDistance) {
     }
   }
 }
+
+// Random graph of `parts` disconnected pieces whose weights make float
+// ties and rounding differences likely. Style 0 draws small integers, so
+// many paths tie exactly; style 1 draws multiples of 0.1, so paths of
+// equal real length round to different doubles. Both make every fifth
+// edge weigh denorm_min, which rounding absorbs into every label of
+// 2^-1021 or more: the nearest GraphBuilder allows to a zero-weight
+// edge (it rejects weight 0).
+Graph TieHeavyGraph(int n, int parts, int style, Rng& rng) {
+  GraphBuilder builder(n);
+  const int per_part = n / parts;
+  auto weight = [&] {
+    if (rng.UniformInt(0, 4) == 0) {
+      return std::numeric_limits<double>::denorm_min();
+    }
+    const double units = static_cast<double>(rng.UniformInt(1, 4));
+    return style == 0 ? units : units * 0.1;
+  };
+  for (int p = 0; p < parts; ++p) {
+    const int lo = p * per_part;
+    const int hi = (p == parts - 1) ? n - 1 : lo + per_part - 1;
+    for (int v = lo + 1; v <= hi; ++v) {
+      builder.AddEdge(static_cast<NodeId>(rng.UniformInt(lo, v - 1)), v,
+                      weight());
+    }
+    for (int e = 0; e < (hi - lo) / 2; ++e) {
+      const NodeId u = static_cast<NodeId>(rng.UniformInt(lo, hi));
+      const NodeId v = static_cast<NodeId>(rng.UniformInt(lo, hi));
+      if (u != v) builder.AddEdge(u, v, weight());
+    }
+  }
+  return builder.Build();
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+class AddMultiSourceTest : public ::testing::TestWithParam<int> {};
+
+// Sources join one at a time through AddMultiSource; after each one the
+// labels must equal MultiSourceDijkstra over the same set, bit for bit.
+// Each of several addition orders starts either empty or from a
+// MultiSourceDijkstra over a prefix (SelectGreedy's pattern), and the
+// set holds one node twice, so some addition finds its node at 0.
+TEST_P(AddMultiSourceTest, MatchesMultiSourceDijkstraBitForBit) {
+  Rng rng(500 + GetParam());
+  const int n = 20 + static_cast<int>(rng.UniformInt(0, 80));
+  const int parts = 1 + GetParam() % 3;
+  const Graph graph = TieHeavyGraph(n, parts, GetParam() % 2, rng);
+  std::vector<NodeId> pool;
+  for (const int v : rng.SampleWithoutReplacement(
+           n, 2 + static_cast<int>(rng.UniformInt(0, n / 4)))) {
+    pool.push_back(static_cast<NodeId>(v));
+  }
+  pool.push_back(pool.front());
+  for (int order = 0; order < 4; ++order) {
+    rng.Shuffle(pool);
+    const size_t start = order == 0 ? 0 : rng.UniformInt(0, pool.size() - 1);
+    std::vector<NodeId> sources(pool.begin(), pool.begin() + start);
+    std::vector<double> distance =
+        start == 0 ? std::vector<double>(n, kInfDistance)
+                   : MultiSourceDijkstra(graph, sources).distance;
+    for (size_t i = start; i < pool.size(); ++i) {
+      AddMultiSource(graph, pool[i], distance);
+      sources.push_back(pool[i]);
+      ASSERT_TRUE(
+          SameBits(distance, MultiSourceDijkstra(graph, sources).distance))
+          << "order " << order << ", after adding source " << pool[i]
+          << " (" << sources.size() << " sources)";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSweep, AddMultiSourceTest,
+                         ::testing::Range(0, 30));
 
 class IncrementalDijkstraTest : public ::testing::TestWithParam<int> {};
 

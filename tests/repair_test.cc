@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <optional>
 #include <set>
 
+#include "mcfs/graph/dijkstra.h"
 #include "tests/test_util.h"
 
 namespace mcfs {
@@ -60,6 +63,118 @@ TEST(SelectGreedyTest, ReachesDisconnectedComponents) {
   SelectGreedy(instance, selected);
   EXPECT_EQ(selected, (std::vector<int>{0, 1}));
 }
+
+// SelectGreedy as it was before the nearest-facility array was kept
+// across additions: one whole-network MultiSourceDijkstra per added
+// facility. Kept here as the reference the incremental version must
+// match selection for selection.
+void ReferenceSelectGreedy(const McfsInstance& instance,
+                           std::vector<int>& selected) {
+  const int l = instance.l();
+  std::vector<uint8_t> is_selected(l, 0);
+  for (const int j : selected) is_selected[j] = 1;
+  std::vector<int> facility_index_of_node(instance.graph->NumNodes(), -1);
+  for (int j = 0; j < l; ++j) {
+    facility_index_of_node[instance.facility_nodes[j]] = j;
+  }
+  while (static_cast<int>(selected.size()) < instance.k &&
+         static_cast<int>(selected.size()) < l) {
+    std::vector<NodeId> sources;
+    for (const int j : selected) sources.push_back(instance.facility_nodes[j]);
+    std::vector<std::pair<double, int>> by_distance;
+    if (sources.empty()) {
+      for (int i = 0; i < instance.m(); ++i) {
+        by_distance.push_back({kInfDistance, i});
+      }
+    } else {
+      const MultiSourceResult msd =
+          MultiSourceDijkstra(*instance.graph, sources);
+      for (int i = 0; i < instance.m(); ++i) {
+        by_distance.push_back({msd.distance[instance.customers[i]], i});
+      }
+    }
+    std::sort(by_distance.begin(), by_distance.end(),
+              [](const auto& a, const auto& b) { return a.first > b.first; });
+    int added = -1;
+    for (const auto& [dist, customer] : by_distance) {
+      (void)dist;
+      IncrementalDijkstra dijkstra(instance.graph,
+                                   instance.customers[customer]);
+      while (std::optional<SettledNode> s = dijkstra.NextSettled()) {
+        const int j = facility_index_of_node[s->node];
+        if (j >= 0 && !is_selected[j]) {
+          added = j;
+          break;
+        }
+      }
+      if (added != -1) break;
+    }
+    if (added == -1) {
+      for (int j = 0; j < l && added == -1; ++j) {
+        if (!is_selected[j]) added = j;
+      }
+      if (added == -1) return;
+    }
+    selected.push_back(added);
+    is_selected[added] = 1;
+  }
+}
+
+// Same shape as MakeRandomInstance's graphs but with weights 1..3, so
+// customers often tie on their distance to the selection.
+Graph IntegerWeightGraph(int n, int parts, Rng& rng) {
+  GraphBuilder builder(n);
+  const int per_part = n / parts;
+  for (int p = 0; p < parts; ++p) {
+    const int lo = p * per_part;
+    const int hi = (p == parts - 1) ? n - 1 : lo + per_part - 1;
+    for (int v = lo + 1; v <= hi; ++v) {
+      builder.AddEdge(static_cast<NodeId>(rng.UniformInt(lo, v - 1)), v,
+                      static_cast<double>(rng.UniformInt(1, 3)));
+    }
+  }
+  return builder.Build();
+}
+
+class SelectGreedyEquivalenceTest : public ::testing::TestWithParam<int> {};
+
+// Case (param % 4): 0 = empty start, 1 = start already at k, 2 = k = l,
+// 3 = random partial start. Parts (1..3) and integer vs. real weights
+// vary with the param; every instance repeats some customer nodes.
+TEST_P(SelectGreedyEquivalenceTest, MatchesPerAdditionRebuild) {
+  const int param = GetParam();
+  const int variant = param % 4;
+  Rng rng(1300 + param);
+  const int parts = 1 + (param / 4) % 3;
+  const int n = 60 + static_cast<int>(rng.UniformInt(0, 140));
+  const int m = 10 + static_cast<int>(rng.UniformInt(0, 50));
+  const int l = 8 + static_cast<int>(rng.UniformInt(0, 32));
+  const int k =
+      variant == 2 ? l : 2 + static_cast<int>(rng.UniformInt(0, l - 2));
+  RandomInstance ri = MakeRandomInstance(n, m, l, k, 5, rng, parts);
+  if ((param / 12) % 2 == 1) ri.graph = IntegerWeightGraph(n, parts, rng);
+  for (int t = 0; t < m / 4; ++t) {
+    ri.instance.customers.push_back(
+        ri.instance.customers[rng.UniformInt(0, m - 1)]);
+  }
+  int start = static_cast<int>(rng.UniformInt(0, k - 1));
+  if (variant == 0) start = 0;
+  if (variant == 1) start = k;
+  const std::vector<int> base = rng.SampleWithoutReplacement(l, start);
+
+  std::vector<int> expected = base;
+  ReferenceSelectGreedy(ri.instance, expected);
+  std::vector<int> actual = base;
+  SelectGreedy(ri.instance, actual);
+  EXPECT_EQ(actual, expected);
+  EXPECT_EQ(static_cast<int>(actual.size()), k);
+  if (variant == 1) {
+    EXPECT_EQ(actual, base);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSweep, SelectGreedyEquivalenceTest,
+                         ::testing::Range(0, 72));
 
 TEST(CoverComponentsTest, SwapsCapacityIntoDeficitComponent) {
   // Two components; all selected capacity initially sits in A.

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "mcfs/core/validate.h"
+#include "mcfs/core/verifier.h"
+#include "mcfs/core/wma.h"
 #include "tests/test_util.h"
 
 namespace mcfs {
@@ -130,6 +132,30 @@ TEST(ValidateTest, ComponentWithoutFacilitiesIsInfeasible) {
   EXPECT_EQ(diagnosis.status.code(), StatusCode::kInfeasible);
   ASSERT_EQ(diagnosis.infeasible_components.size(), 1u);
   EXPECT_EQ(diagnosis.infeasible_components[0].num_facilities, 0);
+}
+
+TEST(ValidateTest, BudgetAboveCandidateCountIsFeasible) {
+  // k = 5 over l = 3 candidates with room for every customer: a
+  // selection of at most k facilities is all the verifier asks for, so
+  // the instance is feasible and WMA converges on it.
+  Rng rng(10);
+  const Graph graph = testing_util::RandomGraph(12, 8, rng);
+  McfsInstance instance;
+  instance.graph = &graph;
+  instance.customers = {0, 2, 5, 7, 9, 11};
+  instance.facility_nodes = {1, 4, 8};
+  instance.capacities = {3, 3, 3};
+  instance.k = 5;
+  EXPECT_TRUE(IsFeasible(instance));
+  EXPECT_EQ(IsFeasible(instance), ValidateInstance(instance).ok());
+
+  const StatusOr<WmaResult> result = SolveWma(instance);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->solution.feasible);
+  EXPECT_EQ(result->solution.termination, Termination::kConverged);
+  EXPECT_EQ(result->stats.termination, Termination::kConverged);
+  EXPECT_LE(static_cast<int>(result->solution.selected.size()), instance.l());
+  EXPECT_TRUE(VerifySolution(instance, result->solution).ok);
 }
 
 TEST(ValidateTest, AgreesWithIsFeasibleOnRandomInstances) {
