@@ -1,4 +1,4 @@
-// Crossover study for the MatcherBackend registry (DESIGN.md §4.12):
+// Crossover study for the matcher backend selection (DESIGN.md §4.12):
 // times the SSPA IncrementalMatcher against the cost-scaling engine on
 // the same batch assignment (AssignOptimally over a fixed selection)
 // across instance shapes, checks the two reach equal objectives, and

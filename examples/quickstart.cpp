@@ -39,8 +39,9 @@ int main() {
               instance.m(), instance.l(), instance.k, instance.Occupancy());
 
   // 3. Solve with WMA. threads = 0 picks up MCFS_THREADS (or the
-  //    hardware default) and parallelizes the candidate-stream prefetch;
-  //    the solution is bit-identical to threads = 1.
+  //    hardware default) and parallelizes the candidate-stream prefetch
+  //    that opens the final assignment; the solution is bit-identical
+  //    to threads = 1.
   WmaOptions wma_options;
   wma_options.threads = 0;
   // Turn on the instrumentation layer for this run: counters accumulate
@@ -90,10 +91,9 @@ int main() {
   //    hot-path counters the instrumentation layer collected (the same
   //    numbers the bench binaries write to run_report.json).
   std::printf("\nrun report:\n");
-  std::printf("  phases: matching %.1fms (prefetch %.1fms), cover %.1fms, "
+  std::printf("  phases: matching %.1fms, cover %.1fms, "
               "final assign %.1fms\n",
               result.stats.matching_seconds * 1e3,
-              result.stats.prefetch_seconds * 1e3,
               result.stats.cover_seconds * 1e3,
               result.stats.final_assign_seconds * 1e3);
   std::printf("  matcher: %lld edges materialized, %lld Theorem-1 prunes, "

@@ -80,8 +80,8 @@ std::string RunReport::Json() const {
     }
     if (!outcome.metrics.empty()) {
       // Derived convenience value: share of consumed stream candidates
-      // an earlier parallel prefetch had already buffered (0 when the
-      // cell ran serially).
+      // the final assignment's parallel prefetch had already buffered
+      // (0 when the cell ran serially).
       const auto hits = outcome.metrics.counters.find(
           "exec/stream/prefetch_hits");
       const auto misses = outcome.metrics.counters.find(

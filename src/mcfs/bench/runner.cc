@@ -42,8 +42,8 @@ std::vector<AlgoOutcome> RunSuite(const McfsInstance& instance,
   // them as one parallel point sweep: every cell only reads the shared
   // instance and writes its own outcome slot, so the outcome vector is
   // identical for any thread count. WMA variants inherit suite.threads
-  // for their batched stream prefetch; when cells themselves run on the
-  // pool, the nested prefetch loops degrade gracefully to inline serial.
+  // for their final assignment's stream prefetch; when cells themselves
+  // run on the pool, that nested prefetch runs inline.
   WmaOptions wma_options;
   wma_options.seed = suite.seed;
   wma_options.threads = suite.threads;
@@ -168,7 +168,7 @@ std::vector<AlgoOutcome> RunSuite(const McfsInstance& instance,
   if (suite.metrics) {
     // Serial cells with a registry reset between them: every counter in
     // a cell's snapshot was incremented by that cell alone. The cells
-    // run inline (not on the pool), so the WMA variants' nested
+    // run inline (not on the pool), so each WMA final assignment's
     // prefetch still fans out across suite.threads.
     for (size_t c = 0; c < cells.size(); ++c) {
       obs::ResetMetrics();

@@ -30,14 +30,14 @@ struct AlgoOutcome {
   bool verify_ran = false;
   bool verify_ok = false;
   // WMA-variant cells carry the full phase/iteration breakdown
-  // (iterations, matching/cover/prefetch/final-assign seconds,
+  // (iterations, matching/cover/final-assign seconds,
   // per-iteration rows); other algorithms leave it default.
   bool has_wma_stats = false;
   WmaStats wma_stats;
   // Counters and distributions attributed to exactly this cell: with
   // metrics on, RunSuite runs cells serially and resets the registry
-  // between them, so the snapshot is the cell's own work (the nested
-  // WMA prefetch still parallelizes). Empty with metrics off.
+  // between them, so the snapshot is the cell's own work (the WMA final
+  // assignment's prefetch still parallelizes). Empty with metrics off.
   obs::MetricsSnapshot metrics;
 };
 
@@ -66,13 +66,14 @@ struct AlgorithmSuite {
   bool with_exact = true;
   ExactOptions exact_options;
   uint64_t seed = 42;
-  // Threads for the suite: independent (instance, algorithm) cells run
-  // concurrently on the shared pool, and the WMA variants inherit the
-  // same value for their batched stream prefetch. Default 1 keeps the
-  // per-cell runtimes contention-free (comparable, as the figures
-  // require); raise it (bench binaries: --threads=N) to trade timing
-  // fidelity for wall-clock. Objectives and solutions are identical for
-  // every value.
+  // Threads for the suite. With metrics off, independent (instance,
+  // algorithm) cells run concurrently on the shared pool and every
+  // nested prefetch runs inline; with metrics on, cells run one at a
+  // time and each WMA final assignment prefetches on this many
+  // threads. Default 1 keeps the per-cell runtimes contention-free
+  // (comparable, as the figures require); raise it (bench binaries:
+  // --threads=N) to trade timing fidelity for wall-clock. Objectives
+  // and solutions are identical for every value.
   int threads = 1;
   // Per-cell observability (on by default — the suite exists to produce
   // reports): enables the obs MetricsRegistry, runs cells serially with

@@ -29,6 +29,7 @@ int EnvironmentThreadCount() {
 
 int ResolveThreadCount(int requested) {
   if (requested > 0) return requested;
+  if (requested < 0) return 1;
   return EnvironmentThreadCount();
 }
 

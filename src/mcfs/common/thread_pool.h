@@ -14,7 +14,9 @@ namespace mcfs {
 // Resolves an effective thread count for parallel sections:
 //   * requested > 0  -> requested, verbatim;
 //   * requested == 0 -> the MCFS_THREADS environment variable if set and
-//     positive, else std::thread::hardware_concurrency().
+//     positive, else std::thread::hardware_concurrency();
+//   * requested < 0  -> 1 (serial), the same reading ParallelFor gives a
+//     negative max_threads cap.
 // Always returns at least 1. The environment variable is read once per
 // process (first call) so repeated resolution is cheap.
 int ResolveThreadCount(int requested = 0);

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "mcfs/common/thread_pool.h"
+#include "mcfs/flow/cost_scaling.h"
 #include "mcfs/flow/matcher.h"
 #include "mcfs/flow/matcher_backend.h"
 #include "mcfs/graph/dijkstra.h"
@@ -115,6 +116,29 @@ bool IsFeasible(const McfsInstance& instance) {
   return required <= instance.k;
 }
 
+namespace {
+
+// Packages a unit-demand matching over the `selected` subset (facility
+// indices into that subset) as a solution over the full catalog.
+McfsSolution SolutionFromPairs(const McfsInstance& instance,
+                               const std::vector<int>& selected,
+                               const std::vector<MatchedPair>& pairs,
+                               bool feasible) {
+  McfsSolution solution;
+  solution.selected = selected;
+  solution.assignment.assign(instance.m(), -1);
+  solution.distances.assign(instance.m(), 0.0);
+  solution.feasible = feasible;
+  for (const MatchedPair& pair : pairs) {
+    solution.assignment[pair.customer] = selected[pair.facility];
+    solution.distances[pair.customer] = pair.distance;
+    solution.objective += pair.distance;
+  }
+  return solution;
+}
+
+}  // namespace
+
 McfsSolution AssignOptimally(const McfsInstance& instance,
                              const std::vector<int>& selected, int threads,
                              MatcherBackendKind matcher) {
@@ -131,41 +155,26 @@ McfsSolution AssignOptimally(const McfsInstance& instance,
   shape.customers = instance.m();
   shape.facilities = static_cast<int64_t>(selected.size());
   shape.total_capacity = total_capacity;
-  const MatcherBackendKind resolved = ResolveMatcherBackend(matcher, shape);
-  if (resolved == MatcherBackendKind::kSspa) {
-    // Kept on the pre-registry inline path so SSPA results stay
-    // bit-identical to the seed behavior.
-    IncrementalMatcher sspa(instance.graph, instance.customers, nodes,
-                            capacities);
-    return AssignWithMatcher(instance, selected, sspa, threads);
+  if (ResolveMatcherBackend(matcher, shape) ==
+      MatcherBackendKind::kCostScaling) {
+    CostScalingMatcher scaled(instance.graph, instance.customers, nodes,
+                              capacities);
+    const bool all_assigned = scaled.MatchAll(threads);
+    return SolutionFromPairs(instance, selected, scaled.MatchedPairs(),
+                             all_assigned);
   }
-  const BatchMatchResult batch =
-      MakeMatcherBackend(resolved)->Match(instance.graph, instance.customers,
-                                          nodes, capacities, threads);
-  McfsSolution solution;
-  solution.selected = selected;
-  solution.assignment.assign(instance.m(), -1);
-  solution.distances.assign(instance.m(), 0.0);
-  solution.feasible = batch.all_assigned;
-  for (const MatchedPair& pair : batch.pairs) {
-    solution.assignment[pair.customer] = selected[pair.facility];
-    solution.distances[pair.customer] = pair.distance;
-    solution.objective += pair.distance;
-  }
-  return solution;
+  IncrementalMatcher sspa(instance.graph, instance.customers, nodes,
+                          capacities);
+  return AssignWithMatcher(instance, selected, sspa, threads);
 }
 
 McfsSolution AssignWithMatcher(const McfsInstance& instance,
                                const std::vector<int>& selected,
                                IncrementalMatcher& matcher, int threads) {
-  McfsSolution solution;
-  solution.selected = selected;
-  solution.assignment.assign(instance.m(), -1);
-  solution.distances.assign(instance.m(), 0.0);
   if (ResolveThreadCount(threads) > 1) {
     // Every still-unassigned customer needs one assignment plus the
-    // threshold lookahead; front-load those two stream entries in
-    // parallel. On a fresh matcher every customer qualifies.
+    // threshold lookahead; front-load those two stream entries in one
+    // parallel burst. On a fresh matcher every customer qualifies.
     std::vector<int> counts(instance.m(), 0);
     for (int i = 0; i < instance.m(); ++i) {
       if (matcher.CustomerMatchCount(i) < 1) counts[i] = 2;
@@ -177,13 +186,8 @@ McfsSolution AssignWithMatcher(const McfsInstance& instance,
     if (matcher.CustomerMatchCount(i) >= 1) continue;  // warm-adopted
     if (!matcher.FindPair(i)) all_ok = false;
   }
-  solution.feasible = all_ok;
-  for (const MatchedPair& pair : matcher.MatchedPairs()) {
-    solution.assignment[pair.customer] = selected[pair.facility];
-    solution.distances[pair.customer] = pair.distance;
-    solution.objective += pair.distance;
-  }
-  return solution;
+  return SolutionFromPairs(instance, selected, matcher.MatchedPairs(),
+                           all_ok);
 }
 
 }  // namespace mcfs

@@ -76,12 +76,14 @@ bool IsFeasible(const McfsInstance& instance);
 // (minimum-cost transportation over the network) and packages the
 // result as a solution. If some customers cannot be assigned, the
 // solution has feasible == false and contains the partial assignment.
-// `threads` parallelizes the nearest-facility stream prefetch that
-// front-loads the matcher's network Dijkstras (0 = MCFS_THREADS /
-// hardware default, 1 = serial); the assignment is identical for every
-// thread count. `matcher` picks the engine from the MatcherBackend
-// registry (flow/matcher_backend.h); kAuto resolves by instance shape,
-// and both concrete engines reach the same objective.
+// `threads` sizes the one parallel burst that front-loads every
+// customer's first nearest-facility stream entries before the serial
+// matching (0 = MCFS_THREADS / hardware default, 1 = serial); the
+// assignment is identical for every thread count. `matcher` picks the
+// engine (flow/matcher_backend.h): kSspa runs AssignWithMatcher on a
+// fresh IncrementalMatcher, kCostScaling runs CostScalingMatcher::
+// MatchAll, and kAuto resolves by instance shape. Both concrete engines
+// reach the same objective.
 McfsSolution AssignOptimally(const McfsInstance& instance,
                              const std::vector<int>& selected,
                              int threads = 1,
@@ -91,11 +93,12 @@ McfsSolution AssignOptimally(const McfsInstance& instance,
 class IncrementalMatcher;
 
 // Core of AssignOptimally on a caller-prepared matcher whose facility
-// list is exactly the `selected` subset (in order). Prefetches and runs
-// FindPair only for customers whose demand is still unsatisfied, so a
-// warm-resumed matcher (flow/matcher.h ResumeFrom) pays only for the
-// customers a delta invalidated; on a fresh matcher this is
-// bit-identical to AssignOptimally.
+// list is exactly the `selected` subset (in order), and the one batch
+// SSPA path. Prefetches and runs FindPair only for customers whose
+// demand is still unsatisfied, so a warm-resumed matcher
+// (flow/matcher.h ResumeFrom) pays only for the customers a delta
+// invalidated; on a fresh matcher this is exactly AssignOptimally's
+// kSspa path.
 McfsSolution AssignWithMatcher(const McfsInstance& instance,
                                const std::vector<int>& selected,
                                IncrementalMatcher& matcher, int threads = 1);

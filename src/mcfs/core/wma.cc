@@ -6,7 +6,6 @@
 
 #include "mcfs/common/check.h"
 #include "mcfs/common/random.h"
-#include "mcfs/common/thread_pool.h"
 #include "mcfs/common/timer.h"
 #include "mcfs/core/repair.h"
 #include "mcfs/core/set_cover.h"
@@ -38,24 +37,6 @@ class GreedyDemandMatcher {
     for (int j = 0; j < instance.l(); ++j) {
       facility_index_of_node_[instance.facility_nodes[j]] = j;
     }
-  }
-
-  // Advance-only phase: extends every customer's cached nearest-facility
-  // order to at least demand[i] entries, running the per-customer
-  // Dijkstras on up to `threads` threads. Each parallel index touches
-  // only its own customer's cache and stream, so the cached orders are
-  // identical for any thread count; AssignDemands then mostly consumes
-  // cache hits (falling back to inline extension when full facilities
-  // force a customer further down its order).
-  void Prefetch(const std::vector<int>& demand, int threads) {
-    if (ResolveThreadCount(threads) <= 1) return;
-    ParallelFor(
-        0, instance_.m(), /*grain=*/1,
-        [&](int64_t i) {
-          const int customer = static_cast<int>(i);
-          ExtendCache(customer, demand[customer]);
-        },
-        threads);
   }
 
   // Rebuilds the full exploratory assignment for the given demands,
@@ -299,14 +280,10 @@ WmaResult RunWma(const McfsInstance& instance, const WmaOptions& options) {
     // enrichment iterations for a good partial cover and stop.
     max_iterations = std::min<int64_t>(max_iterations, 8);
   }
-  // Batched stream prefetch (parallel execution layer): before each
-  // matching phase every unsaturated customer's nearest-facility stream
-  // is advanced in parallel so the first B candidates — B derived from
-  // the current demand vector — are already cached when the serial
-  // FindPair/SSPA consumes them. Thread count 1 skips the batch and the
-  // matcher pays each Dijkstra inline, exactly as before.
-  const int threads = ResolveThreadCount(options.threads);
-  std::vector<int> prefetch_counts;
+  // The loop is serial at every thread count: each FindPair depends on
+  // the matches before it, and a per-iteration parallel stream prefetch
+  // measured slower than paying each Dijkstra inline (DESIGN.md §4.5).
+  // options.threads sizes only the final assignment's one-shot burst.
   std::vector<int> changed_facilities;
   CoverResult cover;
   for (int64_t iteration = 0; iteration < max_iterations; ++iteration) {
@@ -327,29 +304,9 @@ WmaResult RunWma(const McfsInstance& instance, const WmaOptions& options) {
       MCFS_SPAN("wma/matching");
       ScopedTimer matching_timer(&matching_seconds, "wma/matching_seconds");
       if (options.naive) {
-        if (threads > 1) {
-          MCFS_SPAN("wma/prefetch");
-          ScopedTimer prefetch_timer(&result.stats.prefetch_seconds,
-                                     "wma/prefetch_seconds");
-          greedy->Prefetch(demand, threads);
-        }
         greedy->AssignDemands(demand, rng, &sigma, &matched_cost,
                               &saturated, &cover_index);
       } else {
-        if (threads > 1) {
-          MCFS_SPAN("wma/prefetch");
-          ScopedTimer prefetch_timer(&result.stats.prefetch_seconds,
-                                     "wma/prefetch_seconds");
-          prefetch_counts.assign(m, 0);
-          for (int i = 0; i < m; ++i) {
-            if (saturated[i]) continue;
-            const int deficit = demand[i] - matcher->CustomerMatchCount(i);
-            // +1 buffers the lookahead entry FindPair peeks for the
-            // Theorem-1 threshold.
-            if (deficit > 0) prefetch_counts[i] = deficit + 1;
-          }
-          matcher->PrefetchCandidates(prefetch_counts, threads);
-        }
         for (int i = 0; i < m && !deadline_fired; ++i) {
           while (!saturated[i] &&
                  matcher->CustomerMatchCount(i) < demand[i]) {

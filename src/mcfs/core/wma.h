@@ -55,10 +55,11 @@ struct WmaOptions {
   bool collect_iteration_stats = false;
   // Safety cap on main-loop iterations; 0 derives the paper's m*l bound.
   int max_iterations = 0;
-  // Threads for the batched nearest-facility prefetch that runs before
-  // each matching phase (and before the final assignment): 0 resolves
-  // via MCFS_THREADS / hardware_concurrency, 1 disables prefetch (fully
-  // serial). Results are bit-identical for every value — parallelism
+  // Threads for the one parallel burst of a solve: the nearest-facility
+  // stream prefetch that opens the final batch assignment. The
+  // demand-growth loop is serial at every value. 0 resolves via
+  // MCFS_THREADS / hardware_concurrency, 1 (or negative) is fully
+  // serial. Results are bit-identical for every value — parallelism
   // only moves when distances are computed, never which entry the
   // matcher consumes next (see DESIGN.md "Parallel execution layer").
   int threads = 0;
@@ -151,8 +152,9 @@ struct WmaStats {
   int64_t label_correcting_runs = 0;
   double matching_seconds = 0.0;
   double cover_seconds = 0.0;
-  // Subset of matching_seconds spent in the batched parallel stream
-  // prefetch (zero when running with one thread).
+  // Retired: always 0. The only prefetch, the final assignment's burst,
+  // is counted in final_assign_seconds. Kept for readers that still
+  // print it.
   double prefetch_seconds = 0.0;
   // The single assignment of every customer to the selected facilities
   // that closes the algorithm.

@@ -108,12 +108,13 @@ class IncrementalMatcher {
   // Returns false if some customer could not be assigned.
   bool MatchAllOnce();
 
-  // Batched parallel prefetch (the WMA hot-path accelerator): for every
-  // customer i with counts[i] > 0, ensures its nearest-facility stream
-  // has at least counts[i] candidates buffered, advancing the resumable
-  // per-customer Dijkstras across up to `threads` threads (0 = the
-  // MCFS_THREADS / hardware default). The serial FindPair/SSPA then
-  // consumes cached entries instead of paying Dijkstra latency inline.
+  // Batched parallel prefetch (the batch assignment's opening burst,
+  // AssignWithMatcher): for every customer i with counts[i] > 0,
+  // ensures its nearest-facility stream has at least counts[i]
+  // candidates buffered, advancing the resumable per-customer Dijkstras
+  // across up to `threads` threads (0 = the MCFS_THREADS / hardware
+  // default). The serial FindPair/SSPA then consumes cached entries
+  // instead of paying Dijkstra latency inline.
   // Deterministic: each stream's candidate sequence is a pure function
   // of the graph, so prefetching only moves work earlier — FindPair
   // materializes the exact same edges in the exact same order.

@@ -3,8 +3,6 @@
 #include <cstdlib>
 
 #include "mcfs/common/check.h"
-#include "mcfs/common/thread_pool.h"
-#include "mcfs/flow/cost_scaling.h"
 
 namespace mcfs {
 namespace {
@@ -25,65 +23,6 @@ namespace {
 constexpr int64_t kAutoMinFacilities = 32;
 constexpr int64_t kAutoMinCustomers = 512;
 constexpr double kAutoMinOccupancy = 0.96;
-
-class SspaBackend : public MatcherBackend {
- public:
-  MatcherBackendKind kind() const override {
-    return MatcherBackendKind::kSspa;
-  }
-
-  BatchMatchResult Match(const Graph* graph,
-                         const std::vector<NodeId>& customer_nodes,
-                         const std::vector<NodeId>& facility_nodes,
-                         const std::vector<int>& capacities,
-                         int threads) override {
-    // Mirrors core/instance.cc AssignWithMatcher on a fresh matcher
-    // step for step, so routing AssignOptimally through the registry
-    // stays bit-identical to the pre-registry code path.
-    IncrementalMatcher matcher(graph, customer_nodes, facility_nodes,
-                               capacities);
-    const int m = matcher.num_customers();
-    if (ResolveThreadCount(threads) > 1) {
-      std::vector<int> counts(m, 2);
-      matcher.PrefetchCandidates(counts, threads);
-    }
-    BatchMatchResult result;
-    result.all_assigned = true;
-    for (int i = 0; i < m; ++i) {
-      if (!matcher.FindPair(i)) result.all_assigned = false;
-    }
-    result.pairs = matcher.MatchedPairs();
-    result.total_cost = matcher.TotalCost();
-    return result;
-  }
-
-  Status AcceptsWarmSeed() const override { return OkStatus(); }
-};
-
-class CostScalingBackend : public MatcherBackend {
- public:
-  MatcherBackendKind kind() const override {
-    return MatcherBackendKind::kCostScaling;
-  }
-
-  BatchMatchResult Match(const Graph* graph,
-                         const std::vector<NodeId>& customer_nodes,
-                         const std::vector<NodeId>& facility_nodes,
-                         const std::vector<int>& capacities,
-                         int threads) override {
-    CostScalingMatcher matcher(graph, customer_nodes, facility_nodes,
-                               capacities);
-    BatchMatchResult result;
-    result.all_assigned = matcher.MatchAll(threads);
-    result.pairs = matcher.MatchedPairs();
-    result.total_cost = matcher.TotalCost();
-    return result;
-  }
-
-  Status AcceptsWarmSeed() const override {
-    return CostScalingMatcher::WarmSeedStatus();
-  }
-};
 
 }  // namespace
 
@@ -132,20 +71,6 @@ MatcherBackendKind ResolveMatcherBackend(MatcherBackendKind requested,
     return MatcherBackendKind::kCostScaling;
   }
   return MatcherBackendKind::kSspa;
-}
-
-std::unique_ptr<MatcherBackend> MakeMatcherBackend(MatcherBackendKind kind) {
-  switch (kind) {
-    case MatcherBackendKind::kSspa:
-      return std::make_unique<SspaBackend>();
-    case MatcherBackendKind::kCostScaling:
-      return std::make_unique<CostScalingBackend>();
-    case MatcherBackendKind::kAuto:
-      break;
-  }
-  MCFS_CHECK(false) << "MakeMatcherBackend: kAuto must be resolved with "
-                       "ResolveMatcherBackend before construction";
-  return nullptr;
 }
 
 }  // namespace mcfs

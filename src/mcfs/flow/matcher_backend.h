@@ -2,20 +2,20 @@
 #define MCFS_FLOW_MATCHER_BACKEND_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "mcfs/common/status.h"
-#include "mcfs/flow/matcher.h"
-#include "mcfs/graph/graph.h"
 
 namespace mcfs {
 
 // Which min-cost matching engine solves a batch assignment (DESIGN.md
-// §4.12). The SSPA matcher stays the only engine for the incremental
-// one-unit-at-a-time workloads (WMA's demand-growth loop, warm-seed
-// resume); backend selection applies to the *batch* assignments: the
+// §4.12). This header is selection policy only; there is no engine
+// interface. AssignOptimally (core/instance.h) resolves the kind and
+// calls the engine directly: IncrementalMatcher through
+// AssignWithMatcher for kSspa, CostScalingMatcher::MatchAll for
+// kCostScaling. The SSPA matcher stays the only engine for the
+// incremental one-unit-at-a-time workloads (WMA's demand-growth loop,
+// warm-seed resume); selection applies to the *batch* assignments: the
 // final matching after selection, the baselines' finishing step, and
 // the exact solver's dense transportation bounds.
 enum class MatcherBackendKind {
@@ -63,44 +63,6 @@ struct MatchShape {
 // kinds unchanged except that warm shapes always resolve to SSPA.
 MatcherBackendKind ResolveMatcherBackend(MatcherBackendKind requested,
                                          const MatchShape& shape);
-
-// Result of one batch unit-demand assignment.
-struct BatchMatchResult {
-  bool all_assigned = false;        // every customer routed to a facility
-  std::vector<MatchedPair> pairs;   // one entry per assigned customer
-  double total_cost = 0.0;          // sum of pair distances
-};
-
-// A batch matching engine: routes one unit of demand per customer to
-// the capacitated facilities at minimum total network distance. Both
-// implementations consume lazily-materialized G_b edges through
-// NearestFacilityStream, so network Dijkstra work stays proportional
-// to the edges the optimum actually needs.
-class MatcherBackend {
- public:
-  virtual ~MatcherBackend() = default;
-
-  virtual MatcherBackendKind kind() const = 0;
-  const char* name() const { return MatcherBackendName(kind()); }
-
-  // Solves the assignment. `threads` parallelizes only the candidate
-  // stream prefetch (deterministic: prefetching never changes the pop
-  // sequence); the result is identical for every thread count.
-  virtual BatchMatchResult Match(const Graph* graph,
-                                 const std::vector<NodeId>& customer_nodes,
-                                 const std::vector<NodeId>& facility_nodes,
-                                 const std::vector<int>& capacities,
-                                 int threads) = 0;
-
-  // OkStatus when the engine can resume an exported WarmSeed
-  // (flow/matcher.h); the typed kUnsupported refusal otherwise. Callers
-  // that hold a seed must fall back to a cold solve on refusal.
-  virtual Status AcceptsWarmSeed() const = 0;
-};
-
-// Registry factory for the concrete (non-auto) kinds. kAuto must be
-// resolved with ResolveMatcherBackend first; passing it CHECK-fails.
-std::unique_ptr<MatcherBackend> MakeMatcherBackend(MatcherBackendKind kind);
 
 }  // namespace mcfs
 

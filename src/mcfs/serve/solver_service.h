@@ -64,7 +64,7 @@ struct SloPolicy {
 
 struct ServiceOptions {
   // Participants for each batch's ParallelFor (0 = MCFS_THREADS /
-  // hardware default, 1 = serial). Responses are bit-identical for
+  // hardware default, 1 or negative = serial). Responses are bit-identical for
   // every value (determinism contract of the pool).
   int serve_threads = 0;
   // Bounded admission queue: Submit rejects with kUnavailable once this
@@ -81,7 +81,7 @@ struct ServiceOptions {
   // full request (customers, k, subset). 0 disables the cache.
   int cache_capacity = 128;
   // Base solver options applied to every request (seed, tie-break,
-  // threads for the nested prefetch, metrics...). The per-request
+  // threads for the final assignment's prefetch, metrics...). The per-request
   // deadline_ms and cancel fields are overridden per request; the
   // `deadline` object is NOT — it is copied into every solve (each copy
   // gets its own poll budget), which is how the fault-injection tests

@@ -3,14 +3,18 @@
 // oracle against flow/transport.h, and CostScalingMatcher against the
 // SSPA IncrementalMatcher across a randomized instance sweep — equal
 // objectives on feasible instances, equal cardinality plus a no-worse
-// objective on capacity-short ones, and thread-count invariance.
+// objective on capacity-short ones, and thread-count invariance. Both
+// engines run through AssignOptimally, the production batch path.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <optional>
 #include <vector>
 
+#include "mcfs/core/instance.h"
 #include "mcfs/flow/cost_scaling.h"
 #include "mcfs/flow/matcher.h"
 #include "mcfs/flow/matcher_backend.h"
@@ -30,12 +34,19 @@ bool NearRel(double a, double b) {
                                                 std::abs(b)});
 }
 
-BatchMatchResult RunBackend(MatcherBackendKind kind, const RandomInstance& ri,
-                            int threads = 1) {
-  std::unique_ptr<MatcherBackend> backend = MakeMatcherBackend(kind);
-  return backend->Match(ri.instance.graph, ri.instance.customers,
-                        ri.instance.facility_nodes, ri.instance.capacities,
-                        threads);
+// Assigns every customer with every facility selected, so the
+// solution's facility indices are the instance's.
+McfsSolution AssignAll(MatcherBackendKind kind, const RandomInstance& ri,
+                       int threads = 1) {
+  std::vector<int> selected(ri.instance.l());
+  std::iota(selected.begin(), selected.end(), 0);
+  return AssignOptimally(ri.instance, selected, threads, kind);
+}
+
+int AssignedCount(const McfsSolution& solution) {
+  return static_cast<int>(solution.assignment.size()) -
+         static_cast<int>(std::count(solution.assignment.begin(),
+                                     solution.assignment.end(), -1));
 }
 
 TEST(CostScalingFlowTest, HandCheckedDiamond) {
@@ -135,34 +146,31 @@ TEST_P(BackendEquivalenceSweep, CostScalingMatchesSspa) {
   RandomInstance ri =
       MakeRandomInstance(n, m, l, l, max_capacity, rng, parts);
 
-  const BatchMatchResult sspa = RunBackend(MatcherBackendKind::kSspa, ri);
-  const BatchMatchResult scaled =
-      RunBackend(MatcherBackendKind::kCostScaling, ri);
+  const McfsSolution sspa = AssignAll(MatcherBackendKind::kSspa, ri);
+  const McfsSolution scaled = AssignAll(MatcherBackendKind::kCostScaling, ri);
 
   // Both engines route max-cardinality flows, so the assigned count
   // must agree even when capacity runs short.
-  EXPECT_EQ(sspa.all_assigned, scaled.all_assigned);
-  EXPECT_EQ(sspa.pairs.size(), scaled.pairs.size());
-  if (sspa.all_assigned) {
-    EXPECT_TRUE(NearRel(sspa.total_cost, scaled.total_cost))
-        << sspa.total_cost << " vs " << scaled.total_cost;
+  EXPECT_EQ(sspa.feasible, scaled.feasible);
+  EXPECT_EQ(AssignedCount(sspa), AssignedCount(scaled));
+  if (sspa.feasible) {
+    EXPECT_TRUE(NearRel(sspa.objective, scaled.objective))
+        << sspa.objective << " vs " << scaled.objective;
   } else {
     // SSPA satisfies customers greedily in index order; cost scaling
     // globally minimizes over max-cardinality assignments, so it may
     // pick a cheaper subset of customers to leave unassigned.
-    EXPECT_LE(scaled.total_cost,
-              sspa.total_cost + kRelTol * std::max(1.0, sspa.total_cost));
+    EXPECT_LE(scaled.objective,
+              sspa.objective + kRelTol * std::max(1.0, sspa.objective));
   }
 
-  // The matching respects capacities and one unit per customer.
+  // The matching respects capacities, one facility per customer.
+  ASSERT_EQ(scaled.assignment.size(), static_cast<size_t>(m));
   std::vector<int> load(l, 0);
-  std::vector<int> per_customer(m, 0);
-  for (const MatchedPair& pair : scaled.pairs) {
-    ++load[pair.facility];
-    ++per_customer[pair.customer];
+  for (const int j : scaled.assignment) {
+    if (j >= 0) ++load[j];
   }
   for (int j = 0; j < l; ++j) EXPECT_LE(load[j], ri.instance.capacities[j]);
-  for (int i = 0; i < m; ++i) EXPECT_LE(per_customer[i], 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSweep, BackendEquivalenceSweep,
@@ -171,22 +179,18 @@ INSTANTIATE_TEST_SUITE_P(RandomSweep, BackendEquivalenceSweep,
 TEST(CostScalingMatcherTest, ThreadCountInvariance) {
   Rng rng(7411);
   RandomInstance ri = MakeRandomInstance(120, 40, 12, 12, 4, rng);
-  std::optional<BatchMatchResult> baseline;
+  std::optional<McfsSolution> baseline;
   for (const int threads : {1, 2, 8}) {
-    const BatchMatchResult result =
-        RunBackend(MatcherBackendKind::kCostScaling, ri, threads);
+    const McfsSolution result =
+        AssignAll(MatcherBackendKind::kCostScaling, ri, threads);
     if (!baseline.has_value()) {
       baseline = result;
       continue;
     }
-    EXPECT_EQ(baseline->all_assigned, result.all_assigned);
-    ASSERT_EQ(baseline->pairs.size(), result.pairs.size());
-    for (size_t p = 0; p < result.pairs.size(); ++p) {
-      EXPECT_EQ(baseline->pairs[p].customer, result.pairs[p].customer);
-      EXPECT_EQ(baseline->pairs[p].facility, result.pairs[p].facility);
-      EXPECT_EQ(baseline->pairs[p].distance, result.pairs[p].distance);
-    }
-    EXPECT_EQ(baseline->total_cost, result.total_cost);
+    EXPECT_EQ(baseline->feasible, result.feasible);
+    EXPECT_EQ(baseline->assignment, result.assignment);
+    EXPECT_EQ(baseline->distances, result.distances);
+    EXPECT_EQ(baseline->objective, result.objective);
   }
 }
 
@@ -202,8 +206,8 @@ TEST(CostScalingMatcherTest, LazyMaterializationStaysPartial) {
   ASSERT_TRUE(matcher.MatchAll());
   EXPECT_LT(matcher.num_edges_materialized(),
             static_cast<int64_t>(ri.instance.m()) * ri.instance.l());
-  const BatchMatchResult sspa = RunBackend(MatcherBackendKind::kSspa, ri);
-  EXPECT_TRUE(NearRel(sspa.total_cost, matcher.TotalCost()));
+  const McfsSolution sspa = AssignAll(MatcherBackendKind::kSspa, ri);
+  EXPECT_TRUE(NearRel(sspa.objective, matcher.TotalCost()));
 }
 
 TEST(CostScalingMatcherTest, WarmSeedRefusalIsTyped) {
@@ -216,12 +220,6 @@ TEST(CostScalingMatcherTest, WarmSeedRefusalIsTyped) {
                              ri.instance.capacities);
   WarmSeed seed;
   EXPECT_EQ(matcher.ResumeFrom(seed).code(), StatusCode::kUnsupported);
-  std::unique_ptr<MatcherBackend> backend =
-      MakeMatcherBackend(MatcherBackendKind::kCostScaling);
-  EXPECT_EQ(backend->AcceptsWarmSeed().code(), StatusCode::kUnsupported);
-  EXPECT_TRUE(MakeMatcherBackend(MatcherBackendKind::kSspa)
-                  ->AcceptsWarmSeed()
-                  .ok());
 }
 
 TEST(MatcherBackendTest, ParseAndNames) {

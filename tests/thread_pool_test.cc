@@ -20,7 +20,8 @@ TEST(ResolveThreadCountTest, PositiveRequestIsVerbatim) {
 
 TEST(ResolveThreadCountTest, DefaultIsAtLeastOne) {
   EXPECT_GE(ResolveThreadCount(0), 1);
-  EXPECT_GE(ResolveThreadCount(-3), 1);
+  // Negative means serial, as for ParallelFor's max_threads cap.
+  EXPECT_EQ(ResolveThreadCount(-3), 1);
 }
 
 TEST(ThreadPoolTest, EveryIndexRunsExactlyOnce) {

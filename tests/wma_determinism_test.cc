@@ -1,7 +1,9 @@
 // Property test for the parallel-prefetch determinism contract: RunWma
 // (and RunUniformFirstWma) must return bit-identical solutions for any
-// thread count, because prefetching only changes *when* candidate
-// distances are computed, never *which* entry the matcher consumes.
+// thread count, because the final assignment's stream prefetch only
+// changes *when* candidate distances are computed, never *which* entry
+// the matcher consumes. The demand-growth loop itself never dispatches
+// to the pool.
 // The same contract extends to the obs layer's logical counters
 // (everything outside the exec/ prefix): identical values for any
 // thread count.
@@ -216,6 +218,42 @@ TEST(WmaDeterminismTest, NaiveLogicalCountersIdenticalAcrossThreadCounts) {
   obs::EnableMetrics(false);
 }
 
+// The only parallel section of a solve is the final assignment's
+// one-shot stream prefetch: the demand-growth loop runs the serial code
+// at every thread count, so a multi-iteration exact run dispatches one
+// ParallelFor and a naive run (whose greedy final assignment has no
+// prefetch) dispatches none. The pool counts inline sections too, so
+// this holds on a single-core host.
+TEST(WmaDeterminismTest, OnlyTheFinalAssignmentDispatchesToThePool) {
+  SyntheticNetworkOptions network;
+  network.num_nodes = 600;
+  network.alpha = 2.0;
+  network.seed = 11;
+  const Graph graph = GenerateSyntheticNetwork(network);
+  Rng rng(21);
+  const McfsInstance instance =
+      MakeInstanceOnGraph(graph, /*m=*/80, /*l=*/120, /*k=*/15,
+                          /*max_capacity=*/8, rng);
+
+  for (const bool naive : {false, true}) {
+    SCOPED_TRACE(naive ? "naive" : "exact");
+    obs::ResetMetrics();
+    WmaOptions options;
+    options.naive = naive;
+    options.threads = 4;
+    options.metrics = true;
+    const WmaResult result = RunWma(instance, options);
+    ASSERT_TRUE(result.solution.feasible);
+    ASSERT_GE(result.stats.iterations, 5);
+    const obs::MetricsSnapshot snapshot = obs::SnapshotMetrics();
+    const auto it = snapshot.counters.find("exec/pool/parallel_fors");
+    const int64_t parallel_fors =
+        it == snapshot.counters.end() ? 0 : it->second;
+    EXPECT_EQ(parallel_fors, naive ? 0 : 1);
+  }
+  obs::EnableMetrics(false);
+}
+
 // The cost-scaling backend must reach the SSPA objective on the final
 // assignment (the growth loop is SSPA under every backend, so the
 // selection is identical) — and must itself be deterministic across
@@ -345,7 +383,7 @@ TEST(WmaDeterminismTest, CostScalingExportsTrajectoryOnlySeed) {
 
 TEST(WmaDeterminismTest, RandomSparseInstancesSweep) {
   // Several small random instances, including capacity-tight ones where
-  // demand growth iterates many times (more prefetch rounds).
+  // demand growth iterates many times.
   for (uint64_t seed = 1; seed <= 5; ++seed) {
     Rng rng(seed);
     testing_util::RandomInstance random = testing_util::MakeRandomInstance(
