@@ -86,18 +86,25 @@ VerifyReport VerifySolution(const McfsInstance& instance,
 
   // --- Independent distances. Default: one fresh full Dijkstra per
   // selected facility (undirected graphs, so dist(facility -> customer)
-  // == dist(customer -> facility)). Targeted: one early-exit
-  // point-to-point search per distinct customer node, settled just past
-  // the claimed distance — enough to either confirm the assigned
-  // facility's true distance or prove the claim understates it.
-  std::vector<std::vector<double>> dist_from;
+  // == dist(customer -> facility)), read at once into the distance of
+  // every customer assigned to that facility, so one distance array is
+  // alive at a time. Targeted: one early-exit point-to-point search per
+  // distinct customer node, settled just past the claimed distance —
+  // enough to either confirm the assigned facility's true distance or
+  // prove the claim understates it.
+  std::vector<double> assigned_distance;
   std::map<NodeId, IncrementalDijkstra> searches;
   if (!options.targeted) {
-    dist_from.resize(solution.selected.size());
+    assigned_distance.assign(instance.m(), kInfDistance);
     for (size_t s = 0; s < solution.selected.size(); ++s) {
-      dist_from[s] = ShortestPathsFrom(
+      const std::vector<double> dist = ShortestPathsFrom(
           *instance.graph, instance.facility_nodes[solution.selected[s]]);
       ++report.dijkstra_runs;
+      for (int i = 0; i < instance.m(); ++i) {
+        if (solution.assignment[i] == solution.selected[s]) {
+          assigned_distance[i] = dist[instance.customers[i]];
+        }
+      }
     }
     MCFS_COUNT("verify/dijkstra_runs", report.dijkstra_runs);
   }
@@ -163,7 +170,7 @@ VerifyReport VerifySolution(const McfsInstance& instance,
         continue;
       }
     } else {
-      true_distance = dist_from[s][instance.customers[i]];
+      true_distance = assigned_distance[i];
       if (!std::isfinite(true_distance)) {
         distances_complete = false;
         fail("customer " + std::to_string(i) +

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <unordered_map>
 
 #include "mcfs/common/check.h"
@@ -206,6 +207,10 @@ WmaResult RunWma(const McfsInstance& instance, const WmaOptions& options) {
   MCFS_SPAN("wma/run");
   MCFS_RECORD("wma/run_begin", instance.m(), instance.l());
   WallTimer total_timer;
+  // Everything before the demand-growth loop: matcher construction,
+  // warm seed mapping, IsFeasible.
+  std::optional<obs::TraceSpan> setup_span;
+  setup_span.emplace("wma/setup");
   WmaResult result;
   const int m = instance.m();
   const int l = instance.l();
@@ -286,6 +291,7 @@ WmaResult RunWma(const McfsInstance& instance, const WmaOptions& options) {
   // options.threads sizes only the final assignment's one-shot burst.
   std::vector<int> changed_facilities;
   CoverResult cover;
+  setup_span.reset();
   for (int64_t iteration = 0; iteration < max_iterations; ++iteration) {
     if (expired()) {
       deadline_fired = true;
@@ -384,10 +390,21 @@ WmaResult RunWma(const McfsInstance& instance, const WmaOptions& options) {
 
   std::vector<int> selected = cover.selected;
   if (static_cast<int>(selected.size()) < instance.k) {
+    MCFS_SPAN("wma/select_greedy");
     SelectGreedy(instance, selected);
   }
   if (!cover.fully_covered) {
+    MCFS_SPAN("wma/cover_components");
     CoverComponents(instance, selected);
+  }
+
+  // The trajectory is exported before the final assignment, which may
+  // take over the loop matcher's streams.
+  std::shared_ptr<WmaWarmSeed> seed_out;
+  if (options.export_warm_seed && matcher != nullptr) {
+    MCFS_SPAN("wma/warm_seed_export");
+    seed_out = std::make_shared<WmaWarmSeed>();
+    seed_out->trajectory = matcher->ExportWarmSeed();
   }
 
   std::unique_ptr<IncrementalMatcher> final_matcher;
@@ -479,20 +496,14 @@ WmaResult RunWma(const McfsInstance& instance, const WmaOptions& options) {
                      result.stats.warm_customers_reused);
           MCFS_COUNT("wma/warm_customers_repaired",
                      result.stats.warm_customers_repaired);
-        } else if (warm != nullptr && !warm->trajectory.customers.empty()) {
-          // Selection changed: the matching cannot be resumed, but the
-          // full-catalog discovery prefixes filtered down to the selected
-          // subset still spare most of the final matcher's Dijkstra work
-          // (a sub-membership sequence is the filtered super-membership
-          // sequence).
-          const std::vector<int> seed_of = MapSeedCustomers(
-              instance.customers, warm->trajectory.customers,
-              options.warm_stream_invalid);
-          for (int i = 0; i < m; ++i) {
-            if (seed_of[i] < 0) continue;
-            final_matcher->SeedStreamPrefix(
-                i, warm->trajectory.customers[seed_of[i]]);
-          }
+        } else {
+          // Cold, or the selection changed: the matching cannot be
+          // resumed, but the loop's streams already hold every customer's
+          // discoveries over the full catalog (warm ones were seeded from
+          // the previous trajectory). A sub-membership sequence is the
+          // filtered super-membership sequence, so they carry on over the
+          // selected subset instead of new streams starting from scratch.
+          final_matcher->InheritStreams(*matcher);
         }
         result.solution =
             AssignWithMatcher(instance, selected, *final_matcher,
@@ -500,10 +511,8 @@ WmaResult RunWma(const McfsInstance& instance, const WmaOptions& options) {
       }
     }
   }
-  if (options.export_warm_seed && matcher != nullptr) {
+  if (seed_out != nullptr) {
     MCFS_SPAN("wma/warm_seed_export");
-    auto seed_out = std::make_shared<WmaWarmSeed>();
-    seed_out->trajectory = matcher->ExportWarmSeed();
     // A cost-scaling final assignment has no matcher snapshot to
     // export; final_assign stays empty and the next epoch re-matches
     // from the seeded trajectory streams.

@@ -59,6 +59,7 @@ size_t IncrementalMatcher::StreamReserveHint() const {
 
 NearestFacilityStream& IncrementalMatcher::StreamFor(int customer) {
   if (streams_[customer] == nullptr) {
+    MCFS_DCHECK(!streams_given_away_);
     streams_[customer] = std::make_unique<NearestFacilityStream>(
         graph_, customer_nodes_[customer], &facility_index_of_node_,
         StreamReserveHint());
@@ -97,6 +98,36 @@ void IncrementalMatcher::SeedStreamPrefix(
   streams_[customer] = std::make_unique<NearestFacilityStream>(
       graph_, customer_nodes_[customer], &facility_index_of_node_,
       std::move(seed), StreamReserveHint());
+}
+
+void IncrementalMatcher::InheritStreams(IncrementalMatcher& superset) {
+  MCFS_CHECK_EQ(num_edges_materialized_, 0)
+      << "InheritStreams requires a freshly constructed matcher";
+  MCFS_CHECK(superset.customer_nodes_ == customer_nodes_);
+  MCFS_CHECK(!superset.streams_given_away_);
+  std::vector<int> reindex(superset.l_);
+  for (int j = 0; j < superset.l_; ++j) {
+    reindex[j] = MapFacilityNode(superset.facility_nodes_[j]);
+  }
+  std::vector<FacilityAtDistance> prefix;
+  for (int i = 0; i < m_; ++i) {
+    std::unique_ptr<NearestFacilityStream>& stream = superset.streams_[i];
+    if (stream == nullptr) continue;  // never explored: starts fresh here
+    // The superset's materialized edges are its stream's consumed
+    // prefix in pop order, and its buffer continues that sequence.
+    prefix.clear();
+    for (const MatchEdge& edge : superset.edges_[i]) {
+      prefix.push_back(FacilityAtDistance{reindex[edge.facility],
+                                          edge.weight});
+    }
+    for (const FacilityAtDistance& entry : stream->BufferedEntries()) {
+      prefix.push_back(
+          FacilityAtDistance{reindex[entry.facility], entry.distance});
+    }
+    stream->Narrow(&facility_index_of_node_, prefix);
+    streams_[i] = std::move(stream);
+  }
+  superset.streams_given_away_ = true;
 }
 
 bool IncrementalMatcher::MaterializeNextEdge(int customer) {
@@ -430,6 +461,7 @@ std::vector<MatchedPair> IncrementalMatcher::MatchedPairs() const {
 }
 
 WarmSeed IncrementalMatcher::ExportWarmSeed() const {
+  MCFS_CHECK(!streams_given_away_);
   WarmSeed seed;
   seed.facility_nodes = facility_nodes_;
   seed.facility_potentials.resize(l_);

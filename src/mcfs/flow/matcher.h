@@ -192,6 +192,18 @@ class IncrementalMatcher {
   // potentials stay cold).
   void SeedStreamPrefix(int customer, const WarmSeedCustomer& seed_customer);
 
+  // Stream inheritance: takes over `superset`'s nearest-facility
+  // streams, one per customer index, narrowed to this matcher's
+  // facilities (NearestFacilityStream::Narrow). Each stream keeps its
+  // live Dijkstra and re-serves what `superset` already discovered,
+  // filtered and re-indexed, so this matcher's Pops are those of fresh
+  // streams over its own facilities, minus the Dijkstra work. Both
+  // matchers must list the same customer nodes, and this matcher's
+  // facilities must be a subset of `superset`'s. Must be called on a
+  // freshly constructed matcher, before any FindPair; `superset` is left
+  // without streams and must not run FindPair or ExportWarmSeed again.
+  void InheritStreams(IncrementalMatcher& superset);
+
   // Sum of matched distances (the running objective of G_b).
   double TotalCost() const;
 
@@ -288,6 +300,8 @@ class IncrementalMatcher {
   std::vector<double> potential_;  // size m_ + l_
   std::vector<int> facility_index_of_node_;  // size graph nodes
   std::vector<std::unique_ptr<NearestFacilityStream>> streams_;
+  // Set once InheritStreams handed streams_ to another matcher.
+  bool streams_given_away_ = false;
   std::vector<std::pair<int, int>> negative_arcs_;  // (customer, edge idx)
   // Facilities whose match set changed since SyncChangedFacilities.
   std::vector<int> changed_facilities_;

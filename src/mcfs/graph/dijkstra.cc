@@ -144,16 +144,20 @@ void AddMultiSource(const Graph& graph, NodeId source,
 
 IncrementalDijkstra::IncrementalDijkstra(const Graph* graph, NodeId source,
                                          size_t expected_nodes)
-    : graph_(graph), source_(source) {
-  if (expected_nodes > 0) {
-    tentative_.Reserve(expected_nodes);
-    settled_dist_.Reserve(expected_nodes);
+    : graph_(graph), source_(source), expected_nodes_(expected_nodes) {}
+
+void IncrementalDijkstra::Start() {
+  started_ = true;
+  if (expected_nodes_ > 0) {
+    tentative_.Reserve(expected_nodes_);
+    settled_dist_.Reserve(expected_nodes_);
   }
-  tentative_[source] = 0.0;
-  queue_.push({0.0, source});
+  tentative_[source_] = 0.0;
+  queue_.push({0.0, source_});
 }
 
 void IncrementalDijkstra::AdvanceToUnsettled() {
+  if (!started_) Start();
   while (!queue_.empty()) {
     const QueueEntry top = queue_.top();
     if (settled_dist_.Contains(top.node) ||

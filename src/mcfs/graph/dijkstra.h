@@ -68,7 +68,9 @@ class IncrementalDijkstra {
  public:
   // `expected_nodes` is a reserve hint for the label maps (e.g. the
   // neighborhood size a caller expects to explore); 0 starts minimal
-  // and grows by doubling.
+  // and grows by doubling. Nothing is allocated until the first
+  // NextSettled() or PeekNextDistance(): the hint is applied then, so a
+  // search that is never advanced costs only the object itself.
   IncrementalDijkstra(const Graph* graph, NodeId source,
                       size_t expected_nodes = 0);
 
@@ -107,6 +109,8 @@ class IncrementalDijkstra {
     }
   };
 
+  // Applies the reserve hint and labels the source (first use).
+  void Start();
   void AdvanceToUnsettled();
 
   double TentativeDistance(NodeId v) const {
@@ -116,6 +120,8 @@ class IncrementalDijkstra {
 
   const Graph* graph_;
   NodeId source_;
+  size_t expected_nodes_;
+  bool started_ = false;
   int64_t num_relaxed_ = 0;
   FlatMap<NodeId, double> tentative_;
   FlatMap<NodeId, double> settled_dist_;

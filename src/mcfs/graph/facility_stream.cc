@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "mcfs/common/check.h"
 #include "mcfs/obs/metrics.h"
 
 namespace mcfs {
@@ -31,6 +32,34 @@ NearestFacilityStream::NearestFacilityStream(
   if (!exhausted_ && seed.has_next) seeded_next_ = seed.next_distance;
   MCFS_COUNT("exec/stream/seeded_entries",
              static_cast<int64_t>(seed.buffered.size()));
+}
+
+void NearestFacilityStream::Narrow(
+    const std::vector<int>* facility_index_of_node,
+    const std::vector<FacilityAtDistance>& prefix) {
+  MCFS_CHECK_GE(prefix.size(), static_cast<size_t>(BufferedCount()));
+  MCFS_CHECK_GE(static_cast<int64_t>(prefix.size()), fast_forward_remaining_);
+  facility_index_of_node_ = facility_index_of_node;
+  // A pending fast-forward still has to pass the last
+  // fast_forward_remaining_ entries of the old sequence; under the new
+  // map it meets only the survivors among them.
+  const size_t window = prefix.size() - fast_forward_remaining_;
+  const int64_t settled = static_cast<int64_t>(dijkstra_.num_settled());
+  const int64_t relaxed = dijkstra_.num_relaxed();
+  buffer_.clear();
+  buffer_head_ = 0;
+  fast_forward_remaining_ = 0;
+  for (size_t p = 0; p < prefix.size(); ++p) {
+    if (prefix[p].facility < 0) continue;
+    buffer_.push_back(BufferedCandidate{prefix[p], settled, relaxed});
+    if (p >= window) ++fast_forward_remaining_;
+  }
+  attributed_settled_ = settled;
+  attributed_relaxed_ = relaxed;
+  num_popped_ = 0;
+  prefetched_watermark_ = static_cast<int64_t>(buffer_.size());
+  // The seed's known next distance described the old sequence.
+  seeded_next_.reset();
 }
 
 bool NearestFacilityStream::AdvanceOne() {

@@ -96,6 +96,23 @@ class NearestFacilityStream {
   // Consumes and returns the next nearest candidate facility.
   std::optional<FacilityAtDistance> Pop();
 
+  // Narrows the stream to a sub-membership without restarting its
+  // Dijkstra. `facility_index_of_node` replaces the current map: it must
+  // list a subset of the current facilities (re-indexed freely) and
+  // outlive the stream. `prefix` is the whole sequence served so far
+  // under the current map, in order: what the consumer popped (and, for
+  // a stream seeded with skip_discoveries, the skipped entries before
+  // that), then BufferedEntries(). Each entry carries its index under
+  // the new map, or -1 when the facility is not in it. The stream then
+  // serves the surviving entries first; their Dijkstra work was paid
+  // before, so popping them charges nothing to the logical stream/*
+  // counters. Because the settle order from a source does not depend on
+  // which nodes are facilities, the Pop() and PeekDistance() sequence
+  // equals that of a fresh stream over the new map (DESIGN.md §3, final
+  // assignment).
+  void Narrow(const std::vector<int>* facility_index_of_node,
+              const std::vector<FacilityAtDistance>& prefix);
+
   // Advance-only: ensures at least `count` not-yet-popped candidates are
   // buffered (stopping early when the component runs out of candidates).
   // Safe to call from a worker thread as long as no other thread touches

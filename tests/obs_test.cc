@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include "mcfs/common/thread_pool.h"
+#include "mcfs/core/wma.h"
+#include "mcfs/graph/graph.h"
 #include "mcfs/obs/flight_recorder.h"
 #include "mcfs/obs/histogram.h"
 #include "mcfs/obs/metrics.h"
@@ -379,6 +382,36 @@ TEST_F(ObsTest, SpansCarryTheActiveTraceId) {
       EXPECT_EQ(event.trace_id, 0u);
     }
   }
+}
+
+// RunWma's phases each have a span, so wma/run's self time is only the
+// glue between them. Here the cover picks one facility of k = 3 and
+// leaves an isolated customer uncovered, so the wrap-up runs both
+// SelectGreedy and CoverComponents.
+TEST_F(ObsTest, WmaRecordsEachPhaseSpanOnce) {
+  GraphBuilder builder(4);  // path 0 - 1 - 2; node 3 is isolated
+  builder.AddEdge(0, 1, 1.0);
+  builder.AddEdge(1, 2, 1.0);
+  const Graph graph = builder.Build();
+  McfsInstance instance;
+  instance.graph = &graph;
+  instance.customers = {0, 2, 3};
+  instance.facility_nodes = {0, 1, 2};
+  instance.capacities = {5, 5, 5};
+  instance.k = 3;
+  EnableTracing(true);
+  WmaOptions options;
+  options.threads = 1;
+  const WmaResult result = RunWma(instance, options);
+  EnableTracing(false);
+  EXPECT_EQ(result.solution.selected.size(), 3u);
+  std::map<std::string, int> spans;
+  for (const TraceEvent& event : CollectTraceEvents()) ++spans[event.name];
+  for (const char* name : {"wma/run", "wma/setup", "wma/select_greedy",
+                           "wma/cover_components", "wma/final_assign"}) {
+    EXPECT_EQ(spans[name], 1) << name;
+  }
+  EXPECT_GE(spans["wma/iteration"], 1);
 }
 
 TEST_F(ObsTest, TraceContextPropagatesThroughParallelFor) {

@@ -120,6 +120,43 @@ TEST_F(VerifierTest, FlagsFeasibleMarkWithUnassignedCustomer) {
   EXPECT_FALSE(VerifySolution(ri_.instance, tampered, strict).ok);
 }
 
+// The full mode reads each facility's Dijkstra into its customers'
+// distances facility by facility; the order of `selected` must not
+// matter, including when it differs from the order in which customers
+// first name their facilities.
+TEST(VerifierOrderTest, SelectionOrderDiffersFromAssignmentOrder) {
+  GraphBuilder builder(5);  // path 0 - 1 - 2 - 3 - 4, unit weights
+  for (int v = 1; v < 5; ++v) builder.AddEdge(v - 1, v, 1.0);
+  const Graph graph = builder.Build();
+  McfsInstance instance;
+  instance.graph = &graph;
+  instance.customers = {1, 3, 2};
+  instance.facility_nodes = {0, 4, 2};
+  instance.capacities = {2, 2, 2};
+  instance.k = 3;
+  McfsSolution solution;
+  solution.selected = {1, 2, 0};
+  solution.assignment = {0, 1, 1};  // customer 2 sits 2 away from node 4
+  solution.distances = {1.0, 1.0, 2.0};
+  solution.objective = 4.0;
+  solution.feasible = true;
+  const VerifyReport report = VerifySolution(instance, solution);
+  EXPECT_TRUE(report.ok) << report.ToString();
+  EXPECT_EQ(report.dijkstra_runs, 3);
+  EXPECT_EQ(report.recomputed_objective, 4.0);
+
+  McfsSolution tampered = solution;
+  tampered.distances[0] = 3.0;  // true distance to facility 0 is 1
+  tampered.objective = 6.0;
+  const VerifyReport rejected = VerifySolution(instance, tampered);
+  EXPECT_FALSE(rejected.ok);
+  ASSERT_EQ(rejected.failures.size(), 2u);
+  EXPECT_EQ(rejected.failures[0],
+            "customer 0 claims distance 3 but the network distance is 1");
+  EXPECT_EQ(rejected.failures[1],
+            "objective claims 6 but the assignments sum to 4");
+}
+
 TEST_F(VerifierTest, MaintainsVerifyCounters) {
   obs::EnableMetrics(true);
   obs::ResetMetrics();

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include "mcfs/exact/bb_solver.h"
 #include "tests/test_util.h"
 
@@ -132,6 +136,66 @@ TEST(WmaUniformFirstTest, ValidOnNonuniformInstances) {
     EXPECT_TRUE(validation.ok) << validation.message;
     if (IsFeasible(ri.instance)) EXPECT_TRUE(uf.solution.feasible);
   }
+}
+
+// The final assignment continues the demand-growth loop's streams
+// (IncrementalMatcher::InheritStreams) instead of starting new ones. Its
+// answer must be exactly what a fresh matcher over the selection gives,
+// field for field and bit for bit, cold and warm, at any thread count.
+void ExpectFreshAssignment(const McfsInstance& instance,
+                           const McfsSolution& solution) {
+  const McfsSolution fresh = AssignOptimally(
+      instance, solution.selected, /*threads=*/1, MatcherBackendKind::kSspa);
+  EXPECT_EQ(solution.feasible, fresh.feasible);
+  EXPECT_EQ(solution.selected, fresh.selected);
+  EXPECT_EQ(solution.assignment, fresh.assignment);
+  ASSERT_EQ(solution.distances.size(), fresh.distances.size());
+  for (size_t i = 0; i < fresh.distances.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(solution.distances[i]),
+              std::bit_cast<uint64_t>(fresh.distances[i]))
+        << "customer " << i;
+  }
+  EXPECT_EQ(std::bit_cast<uint64_t>(solution.objective),
+            std::bit_cast<uint64_t>(fresh.objective));
+}
+
+TEST(WmaTest, FinalAssignmentEqualsAFreshAssignment) {
+  int changed_selection_runs = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    Rng rng(8100 + trial);
+    const int parts = 1 + trial % 3;
+    const int n = 60 + static_cast<int>(rng.UniformInt(0, 140));
+    const int m = 10 + static_cast<int>(rng.UniformInt(0, 30));
+    const int l = 10 + static_cast<int>(rng.UniformInt(0, 20));
+    const int k = 3 + static_cast<int>(rng.UniformInt(0, 5));
+    RandomInstance ri = MakeRandomInstance(n, m, l, k, 6, rng, parts);
+    // The next epoch: one more facility and a quarter of the customers
+    // moved, so its selection differs from this one's.
+    McfsInstance next = ri.instance;
+    next.k = k + 1;
+    for (int i = 0; i < m; i += 4) {
+      next.customers[i] = static_cast<NodeId>(rng.UniformInt(0, n - 1));
+    }
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE("trial=" + std::to_string(trial) +
+                   " threads=" + std::to_string(threads));
+      WmaOptions options;
+      options.threads = threads;
+      options.export_warm_seed = true;
+      const WmaResult cold = RunWma(ri.instance, options);
+      ExpectFreshAssignment(ri.instance, cold.solution);
+
+      WmaOptions warm_options;
+      warm_options.threads = threads;
+      warm_options.warm_seed = cold.warm_seed;
+      const WmaResult warm = RunWma(next, warm_options);
+      ExpectFreshAssignment(next, warm.solution);
+      if (!warm.stats.warm_final_resumed && warm.stats.warm_stream_entries > 0) {
+        ++changed_selection_runs;
+      }
+    }
+  }
+  EXPECT_GE(changed_selection_runs, 40);
 }
 
 TEST(WmaTest, HandlesKGreaterThanNeeded) {
