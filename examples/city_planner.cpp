@@ -7,10 +7,18 @@
 //       --algorithm=wma [--capacity=20] [--save=net.graph]
 //   ./examples/city_planner --load=net.graph --m=128 --k=12 \
 //       --algorithm=hilbert
+//   ./examples/city_planner --route_from=3 --route_to=700
 //
-// Algorithms: wma | uf | naive | hilbert | brnn | exact
+// Cities: aalborg | riga | copenhagen | lasvegas
+// Algorithms: wma | uf | naive | hilbert | brnn | kmedian | exact
+//
+// Bad input (an unknown city or algorithm, a route endpoint outside the
+// network, m outside [1, n], an invalid or infeasible instance) prints
+// a message and exits 2, as a malformed flag value does.
 
 #include <cstdio>
+#include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "mcfs/baselines/brnn.h"
@@ -18,21 +26,38 @@
 #include "mcfs/common/flags.h"
 #include "mcfs/common/timer.h"
 #include "mcfs/baselines/greedy_kmedian.h"
+#include "mcfs/core/validate.h"
 #include "mcfs/core/wma.h"
 #include "mcfs/exact/bb_solver.h"
-#include "mcfs/graph/alt_router.h"
+#include "mcfs/graph/contraction_hierarchy.h"
 #include "mcfs/graph/graph_io.h"
 #include "mcfs/graph/road_network.h"
 #include "mcfs/workload/workload.h"
 
 namespace {
 
-mcfs::CityOptions PresetFor(const std::string& name, double scale,
-                            uint64_t seed) {
+std::optional<mcfs::CityOptions> PresetFor(const std::string& name,
+                                           double scale, uint64_t seed) {
+  if (name == "aalborg") return mcfs::AalborgPreset(scale, seed);
   if (name == "riga") return mcfs::RigaPreset(scale, seed);
   if (name == "copenhagen") return mcfs::CopenhagenPreset(scale, seed);
   if (name == "lasvegas") return mcfs::LasVegasPreset(scale, seed);
-  return mcfs::AalborgPreset(scale, seed);
+  return std::nullopt;
+}
+
+bool KnownAlgorithm(const std::string& name) {
+  for (const char* known :
+       {"wma", "uf", "naive", "hilbert", "brnn", "kmedian", "exact"}) {
+    if (name == known) return true;
+  }
+  return false;
+}
+
+// Prints `message` and exits 2, the exit code Flags uses for a
+// malformed flag value.
+[[noreturn]] void BadInput(const std::string& message) {
+  std::fprintf(stderr, "%s\n", message.c_str());
+  std::exit(2);
 }
 
 }  // namespace
@@ -41,6 +66,11 @@ int main(int argc, char** argv) {
   using namespace mcfs;
   const Flags flags(argc, argv);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  const std::string algorithm = flags.GetString("algorithm", "wma");
+  if (!KnownAlgorithm(algorithm)) {
+    BadInput("unknown --algorithm=" + algorithm +
+             " (wma | uf | naive | hilbert | brnn | kmedian | exact)");
+  }
 
   // Obtain the network.
   Graph city;
@@ -55,12 +85,16 @@ int main(int argc, char** argv) {
     std::printf("loaded %s: %d nodes, %lld edges\n", load_path.c_str(),
                 city.NumNodes(), static_cast<long long>(city.NumEdges()));
   } else {
-    const CityOptions preset =
-        PresetFor(flags.GetString("city", "aalborg"),
-                  flags.GetDouble("scale", 0.05), seed);
-    city = GenerateCity(preset);
+    const std::string city_name = flags.GetString("city", "aalborg");
+    const std::optional<CityOptions> preset =
+        PresetFor(city_name, flags.GetDouble("scale", 0.05), seed);
+    if (!preset.has_value()) {
+      BadInput("unknown --city=" + city_name +
+               " (aalborg | riga | copenhagen | lasvegas)");
+    }
+    city = GenerateCity(*preset);
     std::printf("%s (scaled): %d nodes, %lld edges, avg degree %.2f\n",
-                preset.name.c_str(), city.NumNodes(),
+                preset->name.c_str(), city.NumNodes(),
                 static_cast<long long>(city.NumEdges()),
                 city.AverageDegree());
   }
@@ -69,16 +103,23 @@ int main(int argc, char** argv) {
     std::printf("saved network to %s\n", save_path.c_str());
   }
 
-  // Optional point-to-point routing demo (ALT landmarks).
+  // Optional point-to-point routing demo (contraction hierarchy).
   if (flags.Has("route_from") && flags.Has("route_to")) {
-    const NodeId from = static_cast<NodeId>(flags.GetInt("route_from", 0));
-    const NodeId to = static_cast<NodeId>(flags.GetInt("route_to", 0));
-    Rng route_rng(seed + 9);
-    AltRouter router(&city, 8, route_rng);
-    const double distance = router.Distance(from, to);
-    std::printf("route %d -> %d: %.1f m, %zu hops (ALT settled %lld "
-                "nodes)\n",
-                from, to, distance, router.Path(from, to).size(),
+    const int64_t from = flags.GetInt("route_from", 0);
+    const int64_t to = flags.GetInt("route_to", 0);
+    for (const int64_t endpoint : {from, to}) {
+      if (endpoint < 0 || endpoint >= city.NumNodes()) {
+        BadInput("route endpoint " + std::to_string(endpoint) +
+                 " out of range [0, " + std::to_string(city.NumNodes()) +
+                 ")");
+      }
+    }
+    const ContractionHierarchy router(&city);
+    const double distance = router.Distance(static_cast<NodeId>(from),
+                                            static_cast<NodeId>(to));
+    std::printf("route %lld -> %lld: %.1f m (CH settled %lld nodes)\n",
+                static_cast<long long>(from), static_cast<long long>(to),
+                distance,
                 static_cast<long long>(router.last_settled_count()));
   }
 
@@ -86,19 +127,24 @@ int main(int argc, char** argv) {
   Rng rng(seed + 1);
   McfsInstance instance;
   instance.graph = &city;
-  const int m = static_cast<int>(flags.GetInt("m", 256));
+  const int64_t m64 = flags.GetInt("m", 256);
+  if (m64 < 1 || m64 > city.NumNodes()) {
+    BadInput("--m=" + std::to_string(m64) + " out of range [1, " +
+             std::to_string(city.NumNodes()) + "] for this network");
+  }
+  const int m = static_cast<int>(m64);
   const int capacity = static_cast<int>(flags.GetInt("capacity", 20));
   instance.customers = SampleDistinctNodes(city, m, rng);
   instance.facility_nodes = SampleDistinctNodes(city, city.NumNodes(), rng);
   instance.capacities = UniformCapacities(city.NumNodes(), capacity);
   instance.k = static_cast<int>(flags.GetInt("k", std::max(1, m / 10)));
-  std::printf("instance: m=%d, l=%d, k=%d, c=%d, occupancy=%.2f, %s\n",
+  std::printf("instance: m=%d, l=%d, k=%d, c=%d, occupancy=%.2f\n",
               instance.m(), instance.l(), instance.k, capacity,
-              instance.Occupancy(),
-              IsFeasible(instance) ? "feasible" : "INFEASIBLE");
+              instance.Occupancy());
+  const Status valid = ValidateInstance(instance);
+  if (!valid.ok()) BadInput("cannot solve: " + valid.ToString());
 
   // Solve.
-  const std::string algorithm = flags.GetString("algorithm", "wma");
   WallTimer timer;
   McfsSolution solution;
   if (algorithm == "hilbert") {
@@ -122,7 +168,7 @@ int main(int argc, char** argv) {
                   static_cast<long long>(exact.nodes_explored));
     }
     solution = exact.solution;
-  } else {
+  } else {  // wma
     solution = RunWma(instance).solution;
   }
   const double seconds = timer.Seconds();

@@ -71,7 +71,11 @@ int main() {
   //    invalidates the cache; the same request now re-solves.
   std::vector<int> tighter = catalog_caps;
   for (int& c : tighter) c = c / 2;
-  service.UpdateCapacities(tighter);
+  const Status updated = service.UpdateCapacities(tighter);
+  if (!updated.ok()) {
+    std::fprintf(stderr, "update failed: %s\n", updated.ToString().c_str());
+    return 1;
+  }
   const SolveResponse fresh = service.SolveSync(repeat);
   std::printf("after update: epoch %llu, cache_hit=%s, objective %.1f\n",
               static_cast<unsigned long long>(fresh.epoch),

@@ -17,9 +17,11 @@ namespace mcfs {
 // fewer nodes than plain Dijkstra while staying exact (verified against
 // Dijkstra in tests).
 //
-// Used for repeated point-to-point queries and for the bucket-based
-// many-to-many distance tables that accelerate dense-matrix
-// construction (exact solver, greedy k-median) on large networks.
+// The library's one point-to-point router (the city_planner route demo;
+// bench_ch checks it against Dijkstra), and the source of the
+// bucket-based many-to-many distance tables that accelerate
+// dense-matrix construction (exact solver, greedy k-median) on large
+// networks.
 //
 // Preprocessing notes: node priority = edge difference + contracted
 // neighbors (lazy re-evaluation); witness searches are exact but capped

@@ -79,7 +79,9 @@ struct ServiceReport {
   // --- Incremental re-solve (DESIGN.md §4.10) ---
   int64_t resolve_updates = 0;       // state-changing updates applied
   int64_t resolve_noop_updates = 0;  // updates detected as no-ops
-  int64_t resolve_ops_applied = 0;   // typed ops across ApplyUpdate calls
+  // Typed ops across accepted updates; UpdateCapacities counts one
+  // kCapacityDelta per changed facility.
+  int64_t resolve_ops_applied = 0;
   int64_t resolve_components_dirtied = 0;  // dirty bits flipped 0 -> 1
   int64_t resolves_warm = 0;         // ResolveTracked runs off a seed
   int64_t resolves_cold = 0;         // ResolveTracked cold runs

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <tuple>
 #include <utility>
@@ -301,54 +302,30 @@ Status SolverService::UpdateCapacities(std::vector<int> capacities) {
         " entries for a catalog of " +
         std::to_string(warm->facility_nodes.size()));
   }
-  return ReplaceCatalogLocked(warm->facility_nodes, std::move(capacities));
-}
-
-Status SolverService::UpdateCandidates(std::vector<NodeId> facility_nodes,
-                                       std::vector<int> capacities) {
-  std::lock_guard<std::mutex> lock(resolve_mutex_);
-  return ReplaceCatalogLocked(std::move(facility_nodes),
-                              std::move(capacities));
-}
-
-Status SolverService::ReplaceCatalogLocked(std::vector<NodeId> facility_nodes,
-                                           std::vector<int> capacities) {
-  if (facility_nodes.size() != capacities.size()) {
-    return InvalidInputError(
-        "catalog has " + std::to_string(facility_nodes.size()) +
-        " facility nodes but " + std::to_string(capacities.size()) +
-        " capacities");
+  // One capacity delta per changed facility, in catalog order, applied
+  // under the same lock hold as the snapshot above.
+  UpdateRequest update;
+  for (size_t j = 0; j < capacities.size(); ++j) {
+    if (capacities[j] == warm->capacities[j]) continue;
+    // Clamped: only a negative entry can underflow, and it is rejected
+    // either way.
+    const int64_t delta =
+        std::max<int64_t>(int64_t{capacities[j]} - warm->capacities[j],
+                          std::numeric_limits<int>::min());
+    update.ops.push_back({UpdateKind::kCapacityDelta, warm->facility_nodes[j],
+                          static_cast<int>(delta)});
   }
-  const int num_nodes = graph_->NumNodes();
-  std::vector<int> index_of_node(num_nodes, -1);
-  for (size_t j = 0; j < facility_nodes.size(); ++j) {
-    const NodeId node = facility_nodes[j];
-    if (node < 0 || node >= num_nodes) {
-      return InvalidInputError("facility node " + std::to_string(node) +
-                               " out of range (facility " + std::to_string(j) +
-                               ")");
-    }
-    if (index_of_node[node] >= 0) {
-      // Same shape as DiagnoseInstance's duplicate diagnosis.
-      return InvalidInputError("duplicate facility node " +
-                               std::to_string(node) + " (facility " +
-                               std::to_string(j) + ")");
-    }
-    index_of_node[node] = static_cast<int>(j);
-    if (capacities[j] < 0) {
-      return InvalidInputError("negative capacity " +
-                               std::to_string(capacities[j]) + " (facility " +
-                               std::to_string(j) + ")");
-    }
-  }
-  CommitLocked(*SnapshotWarmState(), std::move(facility_nodes),
-               std::move(capacities), tracked_customers_, 0);
-  return OkStatus();
+  return ApplyUpdateLocked(update).status();
 }
 
 StatusOr<UpdateResult> SolverService::ApplyUpdate(
     const UpdateRequest& update) {
   std::lock_guard<std::mutex> lock(resolve_mutex_);
+  return ApplyUpdateLocked(update);
+}
+
+StatusOr<UpdateResult> SolverService::ApplyUpdateLocked(
+    const UpdateRequest& update) {
   std::shared_ptr<const WarmState> warm = SnapshotWarmState();
   const int num_nodes = graph_->NumNodes();
 
@@ -377,13 +354,15 @@ StatusOr<UpdateResult> SolverService::ApplyUpdate(
                           std::to_string(op.node) +
                           " which holds no candidate facility");
         }
-        const int next = caps[j] + op.capacity_delta;
-        if (next < 0) {
+        const int64_t next = int64_t{caps[j]} + op.capacity_delta;
+        if (next < 0 || next > std::numeric_limits<int>::max()) {
+          const char* verb =
+              next < 0 ? " would drop to " : " would overflow to ";
           return op_error("capacity of the facility at node " +
-                          std::to_string(op.node) + " would drop to " +
+                          std::to_string(op.node) + verb +
                           std::to_string(next));
         }
-        caps[j] = next;
+        caps[j] = static_cast<int>(next);
         break;
       }
       case UpdateKind::kCandidateAdd: {

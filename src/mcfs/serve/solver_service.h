@@ -42,11 +42,11 @@ namespace mcfs {
 // request alone to an anytime solution; other requests in the same
 // batch are unaffected.
 //
-// Catalog updates (capacities / candidate set — the core/dynamic
-// scenario) bump an epoch and atomically publish a freshly built warm
-// state; in-flight requests keep the snapshot they admitted under, so a
-// request always sees a fully pre- or fully post-update catalog, never
-// a torn mix. The epoch also stamps (and on change invalidates) the
+// Catalog updates (capacities / candidate set, the paper's "solved
+// repeatedly" scenario) bump an epoch and atomically publish a freshly
+// built warm state; in-flight requests keep the snapshot they admitted
+// under, so a request always sees a fully pre- or fully post-update
+// catalog, never a torn mix. The epoch also stamps (and on change invalidates) the
 // solve cache that short-circuits repeated identical requests.
 
 // One latency SLO tier (DESIGN.md §4.11): requests naming `tier` are
@@ -382,16 +382,12 @@ class SolverService {
   // Convenience: Submit + Wait.
   SolveResponse SolveSync(SolveRequest request);
 
-  // Catalog updates (the core/dynamic scenario): bump the epoch,
-  // rebuild the warm state, invalidate the solve cache. In-flight
-  // requests finish under the snapshot they started with. A no-op
-  // update (new state identical to the current one) keeps the epoch and
-  // the response cache. Structural defects (size mismatch, negative
-  // capacity, out-of-range or duplicate facility node) are rejected
-  // with kInvalidInput and change nothing.
+  // Whole-vector capacity update, one entry per catalog facility:
+  // shorthand for an ApplyUpdate of one kCapacityDelta per changed
+  // facility, in catalog order, taken under the same lock hold. A size
+  // mismatch or a negative entry is rejected with kInvalidInput and
+  // changes nothing; an unchanged vector is a no-op.
   Status UpdateCapacities(std::vector<int> capacities);
-  Status UpdateCandidates(std::vector<NodeId> facility_nodes,
-                          std::vector<int> capacities);
 
   // Applies one typed delta atomically: every op is validated first and
   // a failure (kInvalidInput naming the offending op and node) leaves
@@ -550,10 +546,9 @@ class SolverService {
   void PublishWarmState(std::shared_ptr<const WarmState> state);
   std::shared_ptr<const WarmState> SnapshotWarmState() const;
 
-  // Validates a whole new catalog, then commits it. Caller holds
-  // resolve_mutex_.
-  Status ReplaceCatalogLocked(std::vector<NodeId> facility_nodes,
-                              std::vector<int> capacities);
+  // ApplyUpdate's body, the one catalog-mutation validator. Caller
+  // holds resolve_mutex_.
+  StatusOr<UpdateResult> ApplyUpdateLocked(const UpdateRequest& update);
   // The one catalog-commit path (DESIGN.md §4.10), for a validated new
   // state over the current `warm` one. Caller holds resolve_mutex_.
   // No-ops keep epoch, cache and seed; otherwise the dirty bits come

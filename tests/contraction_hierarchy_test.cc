@@ -23,6 +23,32 @@ TEST(ContractionHierarchyTest, TinyPathGraph) {
   EXPECT_DOUBLE_EQ(ch.Distance(1, 1), 0.0);
 }
 
+// Two components {0, 1} and {2, 3}, plus node 4 with no edges at all.
+TEST(ContractionHierarchyTest, TrivialDisconnectedAndIsolatedQueries) {
+  GraphBuilder builder(5);
+  builder.AddEdge(0, 1, 2.0);
+  builder.AddEdge(2, 3, 1.0);
+  const Graph graph = builder.Build();
+  ASSERT_EQ(graph.Degree(4), 0);
+  const ContractionHierarchy ch(&graph);
+  const std::vector<NodeId> nodes = {0, 1, 2, 3, 4};
+  const std::vector<double> from_zero = {0.0, 2.0, kInfDistance, kInfDistance,
+                                         kInfDistance};
+  for (const NodeId t : nodes) {
+    EXPECT_EQ(ch.Distance(0, t), from_zero[t]) << "t=" << t;
+  }
+  EXPECT_EQ(ch.Distance(3, 2), 1.0);
+  EXPECT_EQ(ch.Distance(4, 4), 0.0);
+  EXPECT_EQ(ch.Distance(4, 1), kInfDistance);
+
+  const std::vector<double> table = ch.DistanceTable({0, 4}, nodes);
+  for (const NodeId t : nodes) {
+    EXPECT_EQ(table[t], from_zero[t]) << "t=" << t;
+    EXPECT_EQ(table[nodes.size() + t], t == 4 ? 0.0 : kInfDistance)
+        << "t=" << t;
+  }
+}
+
 class ChOracleTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ChOracleTest, DistancesMatchDijkstra) {

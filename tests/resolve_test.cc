@@ -17,6 +17,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -214,6 +217,8 @@ TEST(ResolveUpdates, InvalidOpsAreTypedAtomicAndNameTheNode) {
       {{UpdateKind::kCapacityDelta, plain, 1},
        "which holds no candidate facility"},
       {{UpdateKind::kCapacityDelta, facility, -1000}, "would drop to"},
+      {{UpdateKind::kCapacityDelta, facility, std::numeric_limits<int>::max()},
+       "would overflow to"},
       {{UpdateKind::kCandidateAdd, facility, 3},
        "duplicate facility node " + std::to_string(facility)},
       {{UpdateKind::kCandidateAdd, plain, -1}, "negative capacity"},
@@ -305,8 +310,10 @@ TEST(ResolveUpdates, EmptyDeltaKeepsEpochAndCache) {
   EXPECT_FALSE(first.cache_hit);
 
   ASSERT_TRUE(service->UpdateCapacities(fx.di.capacities).ok());
-  ASSERT_TRUE(
-      service->UpdateCandidates(fx.di.facility_nodes, fx.di.capacities).ok());
+  UpdateRequest wash;
+  wash.ops.push_back({UpdateKind::kCapacityDelta, fx.di.facility_nodes[0], 1});
+  wash.ops.push_back({UpdateKind::kCapacityDelta, fx.di.facility_nodes[0], -1});
+  ASSERT_TRUE(service->ApplyUpdate(wash).ok());
   ASSERT_TRUE(service->ApplyUpdate(UpdateRequest{}).ok());
   EXPECT_EQ(service->epoch(), epoch0);
 
@@ -337,11 +344,10 @@ TEST(ResolveUpdates, DuplicateCandidateRejectedWithTypedError) {
   auto service = fx.MakeService();
   const uint64_t epoch0 = service->epoch();
 
-  std::vector<NodeId> nodes = fx.di.facility_nodes;
-  std::vector<int> caps = fx.di.capacities;
-  nodes.push_back(nodes[2]);  // duplicate
-  caps.push_back(1);
-  const Status status = service->UpdateCandidates(nodes, caps);
+  UpdateRequest duplicate;
+  duplicate.ops.push_back(
+      {UpdateKind::kCandidateAdd, fx.di.facility_nodes[2], 1});
+  const Status status = service->ApplyUpdate(duplicate).status();
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidInput);
   EXPECT_NE(status.message().find("duplicate facility node " +
@@ -354,6 +360,98 @@ TEST(ResolveUpdates, DuplicateCandidateRejectedWithTypedError) {
   const SolveResponse response =
       service->SolveSync({fx.di.customers, 6, {}, 0, nullptr});
   EXPECT_TRUE(response.status.ok());
+}
+
+// UpdateCapacities is shorthand for one kCapacityDelta per changed
+// facility in catalog order: twin services, one per spelling, must end
+// in the same state and re-solve to the same objective.
+TEST(ResolveUpdates, UpdateCapacitiesEqualsMatchingCapacityDeltas) {
+  ResolveFixture fx(41);
+  auto by_vector = fx.MakeService();
+  auto by_deltas = fx.MakeService();
+  const int k = 6;
+  for (SolverService* service : {by_vector.get(), by_deltas.get()}) {
+    ASSERT_TRUE(service->ApplyUpdate(fx.ArriveAll()).ok());
+    ASSERT_TRUE(service->ResolveTracked(k).status.ok());  // exports a seed
+  }
+
+  // Grow some facilities, shrink others, leave the rest alone.
+  std::vector<int> capacities = fx.di.capacities;
+  UpdateRequest deltas;
+  for (size_t j = 0; j < capacities.size(); ++j) {
+    const int delta = j % 3 == 0 ? 2 : (j % 3 == 1 ? -1 : 0);
+    capacities[j] += delta;
+    if (delta != 0) {
+      deltas.ops.push_back(
+          {UpdateKind::kCapacityDelta, fx.di.facility_nodes[j], delta});
+    }
+  }
+  ASSERT_TRUE(by_vector->UpdateCapacities(capacities).ok());
+  ASSERT_TRUE(by_deltas->ApplyUpdate(deltas).ok());
+
+  EXPECT_EQ(by_vector->epoch(), by_deltas->epoch());
+  const McfsInstance a = by_vector->TrackedInstance(k);
+  const McfsInstance b = by_deltas->TrackedInstance(k);
+  EXPECT_EQ(a.customers, b.customers);
+  EXPECT_EQ(a.facility_nodes, b.facility_nodes);
+  EXPECT_EQ(a.capacities, b.capacities);
+  EXPECT_EQ(a.capacities, capacities);
+  const ServiceReport report_a = by_vector->Report();
+  const ServiceReport report_b = by_deltas->Report();
+  EXPECT_GT(report_a.resolve_components_dirtied, 0);
+  EXPECT_EQ(report_a.resolve_components_dirtied,
+            report_b.resolve_components_dirtied);
+  EXPECT_EQ(report_a.resolve_ops_applied, report_b.resolve_ops_applied);
+
+  const SolveResponse resolved_a = by_vector->ResolveTracked(k);
+  const SolveResponse resolved_b = by_deltas->ResolveTracked(k);
+  ASSERT_TRUE(resolved_a.status.ok()) << resolved_a.status.message();
+  ASSERT_TRUE(resolved_b.status.ok()) << resolved_b.status.message();
+  EXPECT_EQ(std::bit_cast<uint64_t>(resolved_a.solution.objective),
+            std::bit_cast<uint64_t>(resolved_b.solution.objective));
+  EXPECT_EQ(resolved_a.solution.selected, resolved_b.solution.selected);
+}
+
+TEST(ResolveUpdates, UpdateCapacitiesRejectsWithoutChangingAnything) {
+  ResolveFixture fx(43);
+  auto service = fx.MakeService();
+  const uint64_t epoch0 = service->epoch();
+  const auto expect_unchanged = [&] {
+    EXPECT_EQ(service->epoch(), epoch0);
+    const McfsInstance instance = service->TrackedInstance(1);
+    EXPECT_EQ(instance.facility_nodes, fx.di.facility_nodes);
+    EXPECT_EQ(instance.capacities, fx.di.capacities);
+  };
+
+  std::vector<int> short_vector = fx.di.capacities;
+  short_vector.pop_back();
+  const Status wrong_size = service->UpdateCapacities(short_vector);
+  EXPECT_EQ(wrong_size.code(), StatusCode::kInvalidInput);
+  EXPECT_NE(wrong_size.message().find("capacity vector has"),
+            std::string::npos)
+      << wrong_size.message();
+  expect_unchanged();
+
+  // Facility 0 changes (op 0) ahead of the negative facility 2 (op 1):
+  // the valid op must not leak through.
+  std::vector<int> negative = fx.di.capacities;
+  negative[0] += 1;
+  negative[2] = -3;
+  const Status rejected = service->UpdateCapacities(negative);
+  EXPECT_EQ(rejected.code(), StatusCode::kInvalidInput);
+  EXPECT_NE(rejected.message().find(
+                "update op 1: capacity of the facility at node " +
+                std::to_string(fx.di.facility_nodes[2]) + " would drop to -3"),
+            std::string::npos)
+      << rejected.message();
+  expect_unchanged();
+
+  // The most negative entry must not overflow the delta arithmetic.
+  negative[2] = std::numeric_limits<int>::min();
+  EXPECT_EQ(service->UpdateCapacities(negative).code(),
+            StatusCode::kInvalidInput);
+  expect_unchanged();
+  EXPECT_EQ(service->Report().resolve_ops_applied, 0);
 }
 
 // --- Warm-vs-cold equivalence ---

@@ -64,7 +64,8 @@ TEST(ServeConcurrencyTest, RequestsRacingUpdatesSeeWholeEpochs) {
   // Race catalog updates against the in-flight requests. Epochs: 1 = A,
   // then each update alternates B, A, B, ... so odd epochs carry A.
   for (int u = 0; u < 6; ++u) {
-    service.UpdateCapacities(u % 2 == 0 ? caps_b : caps_a);
+    // EXPECT, not ASSERT: the clients must still be joined.
+    EXPECT_TRUE(service.UpdateCapacities(u % 2 == 0 ? caps_b : caps_a).ok());
     std::this_thread::yield();
   }
   for (std::thread& client : clients) client.join();

@@ -222,7 +222,7 @@ TEST(ServeTest, CatalogUpdateBumpsEpochInvalidatesCacheAndChangesAnswer) {
   // Halve every capacity (still feasible for these instances' slack).
   std::vector<int> halved = fx.catalog().capacities;
   for (int& c : halved) c = (c + 1) / 2;
-  service->UpdateCapacities(halved);
+  ASSERT_TRUE(service->UpdateCapacities(halved).ok());
   EXPECT_EQ(service->epoch(), 2u);
 
   const SolveResponse after = service->SolveSync(request);
