@@ -52,19 +52,16 @@ int main(int argc, char** argv) {
       McfsSolution solution;
     };
     WmaOptions wma_options;
-    wma_options.matcher = bench.matcher;
     WmaOptions naive_options = wma_options;
     naive_options.naive = true;
     const Start starts[] = {
         {"WMA", RunWma(instance, wma_options).solution},
         {"WMA Naive", RunWma(instance, naive_options).solution},
-        {"Hilbert", RunHilbertBaseline(instance, bench.matcher)},
+        {"Hilbert", RunHilbertBaseline(instance)},
     };
-    LocalSearchOptions ls_options;
-    ls_options.matcher = bench.matcher;
     for (const Start& start : starts) {
       const LocalSearchResult polished =
-          ImproveByLocalSearch(instance, start.solution, ls_options);
+          ImproveByLocalSearch(instance, start.solution);
       const double gain =
           start.solution.objective - polished.solution.objective;
       table.AddRow(

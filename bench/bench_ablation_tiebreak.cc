@@ -50,14 +50,11 @@ int main(int argc, char** argv) {
 
       WmaOptions recency;
       recency.cost_tie_break = false;
-      recency.matcher = bench.matcher;
       const double obj_recency = RunWma(instance, recency).solution.objective;
       WmaOptions cost_aware;  // default: cost tie-break on
-      cost_aware.matcher = bench.matcher;
       const double obj_cost = RunWma(instance, cost_aware).solution.objective;
       ExactOptions exact_options;
       exact_options.time_limit_seconds = bench.exact_seconds;
-      exact_options.matcher = bench.matcher;
       const ExactResult exact = SolveExact(instance, exact_options);
       const bool have_exact = !exact.failed && exact.solution.feasible;
       const double opt = exact.solution.objective;

@@ -150,7 +150,6 @@ int RunChurnBench(const Flags& flags, const bench_util::BenchConfig& bench) {
       static_cast<int>(flags.GetInt("serve-threads", bench.threads));
   options.wma.threads = bench.threads;
   options.wma.metrics = bench.metrics;
-  options.wma.matcher = bench.matcher;
   SolverService service(&city, scenario.stations, scenario.capacities,
                         options);
 
@@ -444,7 +443,6 @@ int main(int argc, char** argv) {
   options.max_batch = static_cast<int>(flags.GetInt("max-batch", 8));
   options.default_deadline_ms = bench.deadline_ms;
   options.verify = bench.verify;
-  options.wma.matcher = bench.matcher;
   // The service CHECKs its SLO rows; a bad flag is a usage error here.
   const double slo_error_budget = flags.GetDouble("slo-error-budget", 0.01);
   if (!(slo_error_budget > 0.0 && slo_error_budget <= 1.0)) {

@@ -42,10 +42,6 @@ namespace bench_util {
 //   --verify=BOOL  re-check every cell's solution with the independent
 //               verifier (fresh Dijkstras); verdicts go to the table
 //               status, the run report, and the verify/* counters
-//   --matcher=sspa|cost_scaling|auto  matching engine for every cell's
-//               final/transport assignments (default sspa; auto picks
-//               by instance shape). The MCFS_MATCHER env var supplies
-//               the same choice when the flag is absent.
 struct BenchConfig {
   double scale = 1.0;
   uint64_t seed = 42;
@@ -54,7 +50,6 @@ struct BenchConfig {
   bool metrics = true;
   int64_t deadline_ms = 0;
   bool verify = false;
-  MatcherBackendKind matcher = MatcherBackendKind::kSspa;
   std::string report_out;
   std::string trace_out;
 
@@ -69,19 +64,6 @@ struct BenchConfig {
     config.deadline_ms =
         flags.GetInt("deadline-ms", flags.GetInt("deadline_ms", 0));
     config.verify = flags.GetBool("verify", false);
-    // Flag beats env beats the sspa default; a bad spelling on the
-    // command line is a hard error (a silently ignored engine choice
-    // would corrupt a crossover measurement).
-    const std::string matcher_flag = flags.GetString("matcher", "");
-    if (!matcher_flag.empty()) {
-      const StatusOr<MatcherBackendKind> parsed =
-          ParseMatcherBackend(matcher_flag);
-      MCFS_CHECK(parsed.ok()) << "--matcher=" << matcher_flag << ": "
-                              << parsed.status().ToString();
-      config.matcher = parsed.value();
-    } else {
-      config.matcher = MatcherBackendFromEnv(MatcherBackendKind::kSspa);
-    }
     config.report_out = flags.GetString(
         "report_out", config.metrics ? "run_report.json" : "");
     config.trace_out = flags.GetString("trace_out", "");
@@ -109,10 +91,8 @@ inline RunReport& Report() {
 
 // Prints one experiment banner and names the process run report.
 inline void Banner(const std::string& title, const BenchConfig& config) {
-  std::printf("\n=== %s (scale=%.3g, seed=%llu, matcher=%s) ===\n",
-              title.c_str(), config.scale,
-              static_cast<unsigned long long>(config.seed),
-              MatcherBackendName(config.matcher));
+  std::printf("\n=== %s (scale=%.3g, seed=%llu) ===\n", title.c_str(),
+              config.scale, static_cast<unsigned long long>(config.seed));
   RunReport*& slot = internal::ReportSlot();
   if (slot == nullptr) slot = new RunReport(title);
 }
@@ -127,7 +107,6 @@ inline AlgorithmSuite MakeSuite(const BenchConfig& config) {
   suite.metrics = config.metrics;
   suite.cell_timeout_ms = config.deadline_ms;
   suite.verify = config.verify;
-  suite.matcher = config.matcher;
   return suite;
 }
 

@@ -3,18 +3,19 @@
 // with the algorithm of your choice, and optionally persist the network
 // for later runs.
 //
-//   ./examples/city_planner --city=aalborg --scale=0.05 --m=256 --k=25 \
+//   ./examples/city_planner --city=aalborg --scale=0.05 --m=256 --k=25
 //       --algorithm=wma [--capacity=20] [--save=net.graph]
-//   ./examples/city_planner --load=net.graph --m=128 --k=12 \
+//   ./examples/city_planner --load=net.graph --m=128 --k=12
 //       --algorithm=hilbert
 //   ./examples/city_planner --route_from=3 --route_to=700
 //
 // Cities: aalborg | riga | copenhagen | lasvegas
 // Algorithms: wma | uf | naive | hilbert | brnn | kmedian | exact
 //
-// Bad input (an unknown city or algorithm, a route endpoint outside the
-// network, m outside [1, n], an invalid or infeasible instance) prints
-// a message and exits 2, as a malformed flag value does.
+// Bad input (an unknown city or algorithm, a --scale outside (0, 1], a
+// route endpoint outside the network, m outside [1, n], an invalid or
+// infeasible instance) prints a message and exits 2, as a malformed flag
+// value does.
 
 #include <cstdio>
 #include <cstdlib>
@@ -86,8 +87,13 @@ int main(int argc, char** argv) {
                 city.NumNodes(), static_cast<long long>(city.NumEdges()));
   } else {
     const std::string city_name = flags.GetString("city", "aalborg");
+    const double scale = flags.GetDouble("scale", 0.05);
+    if (!(scale > 0.0 && scale <= 1.0)) {  // also rejects nan
+      BadInput("--scale=" + flags.GetString("scale", "") +
+               " is outside (0, 1]");
+    }
     const std::optional<CityOptions> preset =
-        PresetFor(city_name, flags.GetDouble("scale", 0.05), seed);
+        PresetFor(city_name, scale, seed);
     if (!preset.has_value()) {
       BadInput("unknown --city=" + city_name +
                " (aalborg | riga | copenhagen | lasvegas)");

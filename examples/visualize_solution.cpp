@@ -6,7 +6,7 @@
 // plus the instance/solution in the library's text formats, so the run
 // can be reloaded and re-analyzed later.
 //
-//   ./examples/visualize_solution [--scale=0.03] [--k=30] \
+//   ./examples/visualize_solution [--scale=0.03] [--k=30]
 //       [--prefix=/tmp/mcfs_vegas]
 
 #include <cstdio>

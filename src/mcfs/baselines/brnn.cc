@@ -7,8 +7,7 @@
 
 namespace mcfs {
 
-McfsSolution RunBrnnBaseline(const McfsInstance& instance,
-                             MatcherBackendKind matcher) {
+McfsSolution RunBrnnBaseline(const McfsInstance& instance) {
   const Graph& graph = *instance.graph;
   const int m = instance.m();
   const int l = instance.l();
@@ -97,7 +96,7 @@ McfsSolution RunBrnnBaseline(const McfsInstance& instance,
   }
 
   CoverComponents(instance, selected);
-  return AssignOptimally(instance, selected, /*threads=*/1, matcher);
+  return AssignOptimally(instance, selected, /*threads=*/1);
 }
 
 }  // namespace mcfs

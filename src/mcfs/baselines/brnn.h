@@ -12,12 +12,8 @@ namespace mcfs {
 // (MaxSum), computed with per-customer bounded Dijkstras (a customer's
 // NLR is the set of nodes strictly closer than its current nearest
 // selected facility). After k rounds, capacity feasibility is repaired
-// and customers are matched optimally (the "runs SIA" final step);
-// `matcher` picks the engine for that final matching
-// (flow/matcher_backend.h).
-McfsSolution RunBrnnBaseline(const McfsInstance& instance,
-                             MatcherBackendKind matcher =
-                                 MatcherBackendKind::kSspa);
+// and customers are matched optimally (the "runs SIA" final step).
+McfsSolution RunBrnnBaseline(const McfsInstance& instance);
 
 }  // namespace mcfs
 

@@ -63,7 +63,7 @@ McfsSolution RunGreedyKMedian(const McfsInstance& instance,
     SelectGreedy(instance, selected);
   }
   CoverComponents(instance, selected);
-  return AssignOptimally(instance, selected, /*threads=*/1, options.matcher);
+  return AssignOptimally(instance, selected, /*threads=*/1);
 }
 
 }  // namespace mcfs

@@ -18,9 +18,6 @@ namespace mcfs {
 // infeasible empty solution (like the exact solver's failure mode).
 struct GreedyKMedianOptions {
   int64_t max_matrix_entries = 20000000;
-  // Engine for the finishing capacitated matching
-  // (flow/matcher_backend.h).
-  MatcherBackendKind matcher = MatcherBackendKind::kSspa;
 };
 
 McfsSolution RunGreedyKMedian(const McfsInstance& instance,

@@ -16,8 +16,7 @@ namespace {
 constexpr int kHilbertOrder = 16;
 }  // namespace
 
-McfsSolution RunHilbertBaseline(const McfsInstance& instance,
-                                MatcherBackendKind matcher) {
+McfsSolution RunHilbertBaseline(const McfsInstance& instance) {
   MCFS_CHECK(instance.graph->has_coordinates())
       << "the Hilbert baseline sorts by coordinates";
   const Graph& graph = *instance.graph;
@@ -158,7 +157,7 @@ McfsSolution RunHilbertBaseline(const McfsInstance& instance,
     SelectGreedy(instance, selected);
   }
   CoverComponents(instance, selected);
-  return AssignOptimally(instance, selected, /*threads=*/1, matcher);
+  return AssignOptimally(instance, selected, /*threads=*/1);
 }
 
 }  // namespace mcfs

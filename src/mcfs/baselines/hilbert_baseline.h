@@ -12,13 +12,10 @@ namespace mcfs {
 // bucket selects the unused candidate facility nearest (Euclidean) to
 // its centroid. Capacity feasibility is then repaired per component
 // (CoverComponents) and customers are assigned to the selected
-// facilities by one optimal bipartite matching; `matcher` picks the
-// engine for that final matching (flow/matcher_backend.h).
+// facilities by one optimal bipartite matching.
 //
 // Requires graph coordinates.
-McfsSolution RunHilbertBaseline(const McfsInstance& instance,
-                                MatcherBackendKind matcher =
-                                    MatcherBackendKind::kSspa);
+McfsSolution RunHilbertBaseline(const McfsInstance& instance);
 
 }  // namespace mcfs
 

@@ -52,12 +52,10 @@ std::vector<AlgoOutcome> RunSuite(const McfsInstance& instance,
   wma_options.collect_iteration_stats = true;
   wma_options.metrics = suite.metrics;
   wma_options.deadline_ms = suite.cell_timeout_ms;
-  wma_options.matcher = suite.matcher;
   if (suite.metrics) obs::EnableMetrics(true);
   WmaOptions naive_options = wma_options;
   naive_options.naive = true;
   ExactOptions exact_options = suite.exact_options;
-  exact_options.matcher = suite.matcher;
   if (suite.cell_timeout_ms > 0) {
     exact_options.time_limit_seconds =
         std::min(exact_options.time_limit_seconds,
@@ -89,9 +87,7 @@ std::vector<AlgoOutcome> RunSuite(const McfsInstance& instance,
     cells.push_back([&] {
       return RunAlgorithm(
           "BRNN",
-          [&](const McfsInstance& inst) {
-            return RunBrnnBaseline(inst, suite.matcher);
-          },
+          [](const McfsInstance& inst) { return RunBrnnBaseline(inst); },
           instance, verify);
     });
   }
@@ -99,9 +95,7 @@ std::vector<AlgoOutcome> RunSuite(const McfsInstance& instance,
     cells.push_back([&] {
       return RunAlgorithm(
           "Hilbert",
-          [&](const McfsInstance& inst) {
-            return RunHilbertBaseline(inst, suite.matcher);
-          },
+          [](const McfsInstance& inst) { return RunHilbertBaseline(inst); },
           instance, verify);
     });
   }
@@ -109,11 +103,7 @@ std::vector<AlgoOutcome> RunSuite(const McfsInstance& instance,
     cells.push_back([&] {
       return RunAlgorithm(
           "Greedy k-med",
-          [&](const McfsInstance& inst) {
-            GreedyKMedianOptions kmed_options;
-            kmed_options.matcher = suite.matcher;
-            return RunGreedyKMedian(inst, kmed_options);
-          },
+          [](const McfsInstance& inst) { return RunGreedyKMedian(inst); },
           instance, verify);
     });
   }
@@ -138,9 +128,7 @@ std::vector<AlgoOutcome> RunSuite(const McfsInstance& instance,
           "WMA+LS",
           [&](const McfsInstance& inst) {
             const McfsSolution wma = RunWma(inst, wma_options).solution;
-            LocalSearchOptions ls_options;
-            ls_options.matcher = suite.matcher;
-            return ImproveByLocalSearch(inst, wma, ls_options).solution;
+            return ImproveByLocalSearch(inst, wma).solution;
           },
           instance, verify);
     });

@@ -90,11 +90,6 @@ struct AlgorithmSuite {
   // binaries: --verify). Verdicts land in AlgoOutcome::verify_ok and
   // the verify/* counters in the cell's metrics snapshot.
   bool verify = false;
-  // Matching engine for every cell's final/transport assignments
-  // (bench binaries: --matcher=sspa|cost_scaling|auto, or the
-  // MCFS_MATCHER env fallback; flow/matcher_backend.h). Objectives are
-  // identical across engines; runtimes are the thing being compared.
-  MatcherBackendKind matcher = MatcherBackendKind::kSspa;
 };
 
 // Runs the configured suite on one instance and returns one outcome per

@@ -7,9 +7,7 @@
 #include <sstream>
 
 #include "mcfs/common/thread_pool.h"
-#include "mcfs/flow/cost_scaling.h"
 #include "mcfs/flow/matcher.h"
-#include "mcfs/flow/matcher_backend.h"
 #include "mcfs/graph/dijkstra.h"
 
 namespace mcfs {
@@ -140,28 +138,14 @@ McfsSolution SolutionFromPairs(const McfsInstance& instance,
 }  // namespace
 
 McfsSolution AssignOptimally(const McfsInstance& instance,
-                             const std::vector<int>& selected, int threads,
-                             MatcherBackendKind matcher) {
+                             const std::vector<int>& selected, int threads) {
   std::vector<NodeId> nodes;
   std::vector<int> capacities;
   nodes.reserve(selected.size());
-  int64_t total_capacity = 0;
+  capacities.reserve(selected.size());
   for (const int j : selected) {
     nodes.push_back(instance.facility_nodes[j]);
     capacities.push_back(instance.capacities[j]);
-    total_capacity += instance.capacities[j];
-  }
-  MatchShape shape;
-  shape.customers = instance.m();
-  shape.facilities = static_cast<int64_t>(selected.size());
-  shape.total_capacity = total_capacity;
-  if (ResolveMatcherBackend(matcher, shape) ==
-      MatcherBackendKind::kCostScaling) {
-    CostScalingMatcher scaled(instance.graph, instance.customers, nodes,
-                              capacities);
-    const bool all_assigned = scaled.MatchAll(threads);
-    return SolutionFromPairs(instance, selected, scaled.MatchedPairs(),
-                             all_assigned);
   }
   IncrementalMatcher sspa(instance.graph, instance.customers, nodes,
                           capacities);

@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "mcfs/flow/matcher_backend.h"
 #include "mcfs/graph/graph.h"
 
 namespace mcfs {
@@ -79,16 +78,11 @@ bool IsFeasible(const McfsInstance& instance);
 // `threads` sizes the one parallel burst that front-loads every
 // customer's first nearest-facility stream entries before the serial
 // matching (0 = MCFS_THREADS / hardware default, 1 = serial); the
-// assignment is identical for every thread count. `matcher` picks the
-// engine (flow/matcher_backend.h): kSspa runs AssignWithMatcher on a
-// fresh IncrementalMatcher, kCostScaling runs CostScalingMatcher::
-// MatchAll, and kAuto resolves by instance shape. Both concrete engines
-// reach the same objective.
+// assignment is identical for every thread count. Runs
+// AssignWithMatcher on a fresh IncrementalMatcher.
 McfsSolution AssignOptimally(const McfsInstance& instance,
                              const std::vector<int>& selected,
-                             int threads = 1,
-                             MatcherBackendKind matcher =
-                                 MatcherBackendKind::kSspa);
+                             int threads = 1);
 
 class IncrementalMatcher;
 

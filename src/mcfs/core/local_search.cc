@@ -51,7 +51,7 @@ LocalSearchResult ImproveByLocalSearch(const McfsInstance& instance,
     CoverComponents(instance, selected);
   }
   McfsSolution best =
-      AssignOptimally(instance, selected, /*threads=*/1, options.matcher);
+      AssignOptimally(instance, selected, /*threads=*/1);
   if (!best.feasible && start.feasible) {
     best = start;  // repair hurt; keep the original
     selected = start.selected;
@@ -138,7 +138,7 @@ LocalSearchResult ImproveByLocalSearch(const McfsInstance& instance,
       std::replace(trial.begin(), trial.end(), move.out, move.in);
       ++result.moves_evaluated;
       const McfsSolution candidate =
-          AssignOptimally(instance, trial, /*threads=*/1, options.matcher);
+          AssignOptimally(instance, trial, /*threads=*/1);
       if (!candidate.feasible) continue;
       const double gain = best.objective - candidate.objective;
       if (gain > best_gain) {

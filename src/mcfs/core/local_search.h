@@ -23,10 +23,6 @@ struct LocalSearchOptions {
   // relative amount.
   double min_relative_gain = 1e-9;
   uint64_t seed = 42;
-  // Engine for the per-move optimal re-assignment
-  // (flow/matcher_backend.h). Moves are accepted on objective value, so
-  // both engines walk the same descent path.
-  MatcherBackendKind matcher = MatcherBackendKind::kSspa;
 };
 
 struct LocalSearchResult {

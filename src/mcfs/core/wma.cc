@@ -11,9 +11,7 @@
 #include "mcfs/core/repair.h"
 #include "mcfs/core/set_cover.h"
 #include "mcfs/core/validate.h"
-#include "mcfs/flow/cost_scaling.h"
 #include "mcfs/flow/matcher.h"
-#include "mcfs/flow/matcher_backend.h"
 #include "mcfs/graph/facility_stream.h"
 #include "mcfs/obs/flight_recorder.h"
 #include "mcfs/obs/metrics.h"
@@ -420,105 +418,71 @@ WmaResult RunWma(const McfsInstance& instance, const WmaOptions& options) {
       if (!result.solution.feasible) {
         // Greedy assignment can dead-end on feasible instances (capacity
         // grabbed by the wrong customers); fall back to one matching.
-        result.solution = AssignOptimally(instance, selected, options.threads,
-                                          options.matcher);
+        result.solution =
+            AssignOptimally(instance, selected, options.threads);
       }
     } else {
       std::vector<NodeId> selected_nodes;
       std::vector<int> selected_caps;
       selected_nodes.reserve(selected.size());
       selected_caps.reserve(selected.size());
-      int64_t selected_capacity = 0;
       for (const int j : selected) {
         selected_nodes.push_back(instance.facility_nodes[j]);
         selected_caps.push_back(instance.capacities[j]);
-        selected_capacity += instance.capacities[j];
       }
-      MatchShape final_shape;
-      final_shape.customers = m;
-      final_shape.facilities = static_cast<int64_t>(selected.size());
-      final_shape.total_capacity = selected_capacity;
-      final_shape.warm =
-          warm != nullptr && (!warm->final_assign.customers.empty() ||
-                              !warm->trajectory.customers.empty());
-      const MatcherBackendKind final_backend =
-          ResolveMatcherBackend(options.matcher, final_shape);
-      result.stats.matcher_backend = MatcherBackendName(final_backend);
-      if (final_backend == MatcherBackendKind::kCostScaling) {
-        if (final_shape.warm) {
-          // Cost scaling cannot resume a warm seed; record the typed
-          // refusal and solve cold (the seed stays valid for a later
-          // SSPA epoch — nothing is consumed or invalidated here).
-          const Status refusal = CostScalingMatcher::WarmSeedStatus();
-          MCFS_DCHECK(refusal.code() == StatusCode::kUnsupported);
-          ++result.stats.warm_backend_refusals;
-          MCFS_COUNT("wma/warm_backend_refusals", 1);
-          MCFS_RECORD("wma/warm/backend_refusal",
-                      static_cast<int64_t>(refusal.code()), 0);
+      final_matcher = std::make_unique<IncrementalMatcher>(
+          instance.graph, instance.customers, selected_nodes, selected_caps);
+      if (warm != nullptr && !warm->final_assign.customers.empty() &&
+          SameNodeSet(selected_nodes, warm->final_assign.facility_nodes)) {
+        // Same facility node set as last epoch: resume the previous
+        // matching wholesale. Per-edge dual re-validation plus the
+        // invalidation masks shed exactly what a delta broke; the
+        // FindPair re-runs inside AssignWithMatcher then repair only
+        // those customers, and the result is again an optimal matching
+        // — equal in objective to a cold solve.
+        const std::vector<int> seed_of = MapSeedCustomers(
+            instance.customers, warm->final_assign.customers,
+            options.warm_stream_invalid);
+        std::vector<uint8_t> adopt_match(m, 1);
+        for (int i = 0; i < m; ++i) {
+          const int s = seed_of[i];
+          if (s >= 0 &&
+              s < static_cast<int>(options.warm_match_invalid.size()) &&
+              options.warm_match_invalid[s] != 0) {
+            adopt_match[i] = 0;
+          }
         }
-        result.solution =
-            AssignOptimally(instance, selected, options.threads,
-                            MatcherBackendKind::kCostScaling);
+        final_matcher->ResumeFrom(warm->final_assign, seed_of, adopt_match);
+        result.stats.warm_final_resumed = true;
+        MCFS_RECORD("wma/warm/final_resumed", m, 0);
+        for (int i = 0; i < m; ++i) {
+          if (final_matcher->CustomerMatchCount(i) >= 1) {
+            ++result.stats.warm_customers_reused;
+          } else {
+            ++result.stats.warm_customers_repaired;
+          }
+        }
+        MCFS_COUNT("wma/warm_customers_reused",
+                   result.stats.warm_customers_reused);
+        MCFS_COUNT("wma/warm_customers_repaired",
+                   result.stats.warm_customers_repaired);
       } else {
-        final_matcher = std::make_unique<IncrementalMatcher>(
-            instance.graph, instance.customers, selected_nodes, selected_caps);
-        if (warm != nullptr && !warm->final_assign.customers.empty() &&
-            SameNodeSet(selected_nodes, warm->final_assign.facility_nodes)) {
-          // Same facility node set as last epoch: resume the previous
-          // matching wholesale. Per-edge dual re-validation plus the
-          // invalidation masks shed exactly what a delta broke; the
-          // FindPair re-runs inside AssignWithMatcher then repair only
-          // those customers, and the result is again an optimal matching
-          // — equal in objective to a cold solve.
-          const std::vector<int> seed_of = MapSeedCustomers(
-              instance.customers, warm->final_assign.customers,
-              options.warm_stream_invalid);
-          std::vector<uint8_t> adopt_match(m, 1);
-          for (int i = 0; i < m; ++i) {
-            const int s = seed_of[i];
-            if (s >= 0 &&
-                s < static_cast<int>(options.warm_match_invalid.size()) &&
-                options.warm_match_invalid[s] != 0) {
-              adopt_match[i] = 0;
-            }
-          }
-          final_matcher->ResumeFrom(warm->final_assign, seed_of, adopt_match);
-          result.stats.warm_final_resumed = true;
-          MCFS_RECORD("wma/warm/final_resumed", m, 0);
-          for (int i = 0; i < m; ++i) {
-            if (final_matcher->CustomerMatchCount(i) >= 1) {
-              ++result.stats.warm_customers_reused;
-            } else {
-              ++result.stats.warm_customers_repaired;
-            }
-          }
-          MCFS_COUNT("wma/warm_customers_reused",
-                     result.stats.warm_customers_reused);
-          MCFS_COUNT("wma/warm_customers_repaired",
-                     result.stats.warm_customers_repaired);
-        } else {
-          // Cold, or the selection changed: the matching cannot be
-          // resumed, but the loop's streams already hold every customer's
-          // discoveries over the full catalog (warm ones were seeded from
-          // the previous trajectory). A sub-membership sequence is the
-          // filtered super-membership sequence, so they carry on over the
-          // selected subset instead of new streams starting from scratch.
-          final_matcher->InheritStreams(*matcher);
-        }
-        result.solution =
-            AssignWithMatcher(instance, selected, *final_matcher,
-                              options.threads);
+        // Cold, or the selection changed: the matching cannot be
+        // resumed, but the loop's streams already hold every customer's
+        // discoveries over the full catalog (warm ones were seeded from
+        // the previous trajectory). A sub-membership sequence is the
+        // filtered super-membership sequence, so they carry on over the
+        // selected subset instead of new streams starting from scratch.
+        final_matcher->InheritStreams(*matcher);
       }
+      result.solution =
+          AssignWithMatcher(instance, selected, *final_matcher,
+                            options.threads);
     }
   }
   if (seed_out != nullptr) {
     MCFS_SPAN("wma/warm_seed_export");
-    // A cost-scaling final assignment has no matcher snapshot to
-    // export; final_assign stays empty and the next epoch re-matches
-    // from the seeded trajectory streams.
-    if (final_matcher != nullptr) {
-      seed_out->final_assign = final_matcher->ExportWarmSeed();
-    }
+    seed_out->final_assign = final_matcher->ExportWarmSeed();
     result.warm_seed = std::move(seed_out);
   }
   if (matcher != nullptr) {
@@ -579,13 +543,13 @@ WmaResult RunUniformFirstWma(const McfsInstance& instance,
   WmaResult result;
   result.stats = phase1.stats;
   result.solution =
-      AssignOptimally(instance, selected, options.threads, options.matcher);
+      AssignOptimally(instance, selected, options.threads);
   if (!result.solution.feasible) {
     // A second repair attempt with greedy extension, then reassign.
     SelectGreedy(instance, selected);
     CoverComponents(instance, selected);
     result.solution =
-        AssignOptimally(instance, selected, options.threads, options.matcher);
+        AssignOptimally(instance, selected, options.threads);
   }
   // Phase 1 judged feasibility of the *uniform* pretense; re-derive the
   // verdict for the true instance, keeping any deadline cut from it.

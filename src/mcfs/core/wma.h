@@ -13,6 +13,12 @@
 
 namespace mcfs {
 
+// Kept only so that callers which still assign WmaOptions::matcher
+// compile (the perfbench harness sets it). There is one matching engine,
+// the SSPA IncrementalMatcher (flow/matcher.h), and nothing reads the
+// field. Benchmark v2 deletes both the enum and the field.
+enum class MatcherBackendKind { kSspa };
+
 // Cross-epoch warm-start state for the exact WMA path (DESIGN.md
 // §4.10). Node-keyed, so it stays meaningful after catalog edits; the
 // consuming run maps nodes back into its own index space and drops
@@ -85,17 +91,7 @@ struct WmaOptions {
   // Optional external cancellation, polled at the same checkpoints as
   // the deadline and reported as Termination::kDeadline.
   const CancelToken* cancel = nullptr;
-  // Matching engine for the *final assignment* (the demand-growth loop
-  // always runs the SSPA IncrementalMatcher — its per-iteration deltas
-  // have no cost-scaling counterpart). kSspa keeps the seed-identical
-  // path; kCostScaling batch-solves the closing assignment; kAuto
-  // resolves by shape (flow/matcher_backend.h). Cost scaling has no
-  // warm resume: a warm seed on offer is refused with a typed
-  // kUnsupported status (counted in stats.warm_backend_refusals) and
-  // the final assignment runs cold; with export_warm_seed only the
-  // trajectory half of the seed is exported (final_assign stays empty,
-  // so the next epoch re-matches from seeded streams). Both engines
-  // reach the same objective on every feasible instance.
+  // Unread; see MatcherBackendKind.
   MatcherBackendKind matcher = MatcherBackendKind::kSspa;
 
   // --- Warm-started re-solve (DESIGN.md §4.10) ---
@@ -175,13 +171,6 @@ struct WmaStats {
   // selected facility node set); false = it re-matched from seeded
   // streams only.
   bool warm_final_resumed = false;
-  // Engine that actually ran the final assignment ("sspa" or
-  // "cost_scaling", after kAuto resolution).
-  std::string matcher_backend;
-  // Warm seeds offered to a backend without warm-resume support
-  // (cost scaling): each refusal is typed kUnsupported and the final
-  // assignment ran cold instead.
-  int64_t warm_backend_refusals = 0;
 };
 
 struct WmaResult {

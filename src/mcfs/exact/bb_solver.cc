@@ -8,7 +8,6 @@
 #include "mcfs/core/wma.h"
 #include "mcfs/exact/distance_matrix.h"
 #include "mcfs/exact/lagrangian.h"
-#include "mcfs/flow/cost_scaling.h"
 #include "mcfs/flow/transport.h"
 #include "mcfs/graph/dijkstra.h"
 
@@ -76,20 +75,6 @@ ExactResult SolveExact(const McfsInstance& instance,
     if (result.solution.feasible) incumbent_cost = result.solution.objective;
   }
 
-  // Both engines return the same optimum on the same dense inputs
-  // (tests/cost_scaling_test.cc DenseTransportSweep), so the bound and
-  // fathoming logic below is engine-agnostic.
-  MatchShape shape;
-  shape.customers = m;
-  shape.facilities = l;
-  for (const int c : instance.capacities) shape.total_capacity += c;
-  const MatcherBackendKind transport_backend =
-      ResolveMatcherBackend(options.matcher, shape);
-  auto solve_transport = [&](const std::vector<int>& node_caps) {
-    return transport_backend == MatcherBackendKind::kCostScaling
-               ? SolveDenseTransportCostScaling(m, l, cost, node_caps)
-               : SolveDenseTransport(m, l, cost, node_caps);
-  };
 
   // Root feasibility: can all customers be assigned with every facility
   // open? If not, the instance is infeasible outright. The root cost is
@@ -98,7 +83,7 @@ ExactResult SolveExact(const McfsInstance& instance,
   double root_cost = 0.0;
   {
     const std::optional<TransportResult> root =
-        solve_transport(instance.capacities);
+        SolveDenseTransport(m, l, cost, instance.capacities);
     if (!root.has_value()) {
       result.optimal = true;  // proven infeasible
       result.seconds = timer.Seconds();
@@ -118,7 +103,7 @@ ExactResult SolveExact(const McfsInstance& instance,
     std::fill(node_capacities.begin(), node_capacities.end(), 0);
     for (const int j : subset) node_capacities[j] = instance.capacities[j];
     const std::optional<TransportResult> solved =
-        solve_transport(node_capacities);
+        SolveDenseTransport(m, l, cost, node_capacities);
     if (solved.has_value() && solved->cost < incumbent_cost) {
       incumbent_cost = solved->cost;
       result.solution = SolutionFromAssignment(instance, cost, *solved);

@@ -19,14 +19,6 @@ struct ExactOptions {
   // fail immediately, like an LP solver running out of practical room.
   int64_t max_matrix_entries = 4000000;
   bool use_wma_incumbent = true;  // seed the incumbent with WMA
-  // Engine for the dense transportation relaxations (root bound and the
-  // per-node primal probes): kSspa keeps the reference
-  // SolveDenseTransport; kCostScaling routes the same inputs through
-  // SolveDenseTransportCostScaling (flow/cost_scaling.h), same optimum
-  // and infeasibility contract. kAuto resolves by instance shape.
-  // SolveByEnumeration always uses the reference engine — it is the
-  // oracle the others are tested against.
-  MatcherBackendKind matcher = MatcherBackendKind::kSspa;
 };
 
 struct ExactResult {

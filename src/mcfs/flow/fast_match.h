@@ -9,9 +9,9 @@ namespace mcfs {
 
 // Bounded-work capacitated greedy matching (DESIGN.md §4.14): the
 // instant-responder assignment behind the serving fast tier. Instead of
-// the optimal min-cost matching (flow/matcher.h, flow/cost_scaling.h),
-// customers are assigned nearest-first against precomputed multi-source
-// distances — the O(M log M) roadmap-matching flavor of Treleaven et
+// the optimal min-cost matching (flow/matcher.h), customers are
+// assigned nearest-first against precomputed multi-source distances —
+// the O(M log M) roadmap-matching flavor of Treleaven et
 // al. (arXiv 1311.4609):
 //
 //   round r: one MultiSourceDijkstra from the selected facilities that

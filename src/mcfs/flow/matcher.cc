@@ -144,12 +144,22 @@ bool IncrementalMatcher::MaterializeNextEdge(int customer) {
   return true;
 }
 
+void IncrementalMatcher::Relax(int from, int to, double reduced_weight,
+                               SearchCounts* counts) {
+  ++counts->relaxed;
+  const double candidate = dist_[from] + reduced_weight;
+  if (candidate < dist_[to] - kEps) {
+    if (dist_[to] == kInfDistance) touched_.push_back(to);
+    dist_[to] = candidate;
+    parent_[to] = from;
+    settled_[to] = 0;  // label-correcting or resumed: allow re-settling
+    search_heap_.push({candidate, to});
+    ++counts->heap_pushes;
+  }
+}
+
 IncrementalMatcher::SearchResult IncrementalMatcher::Search(
     int source_customer) {
-  ++num_dijkstra_runs_;
-  const bool exact = negative_arcs_.empty();
-  if (!exact) ++num_label_correcting_runs_;
-
   // Reset scratch for the nodes touched by the previous search.
   for (const int v : touched_) {
     dist_[v] = kInfDistance;
@@ -171,32 +181,39 @@ IncrementalMatcher::SearchResult IncrementalMatcher::Search(
   SearchResult result;
   result.sink_facility = -1;
   result.sink_distance = kInfDistance;
+  return RunSearch(negative_arcs_.empty(), result, SearchCounts{});
+}
 
-  // Counted in locals and flushed once per search: this loop is the G_b
+IncrementalMatcher::SearchResult IncrementalMatcher::ResumeSearch(
+    int customer, const SearchResult& previous) {
+  MCFS_COUNT("matcher/resumed_searches", 1);
+  // The new arc is the customer's last edge. A settled customer relaxes
+  // it now; one still on the frontier scans it when it pops.
+  SearchCounts counts;
+  if (settled_[customer]) {
+    const MatchEdge& edge = edges_[customer].back();
+    Relax(customer, GbFacilityNode(edge.facility), ReducedCost(customer, edge),
+          &counts);
+  }
+  return RunSearch(/*exact=*/true, previous, counts);
+}
+
+IncrementalMatcher::SearchResult IncrementalMatcher::RunSearch(
+    bool exact, SearchResult result, SearchCounts counts) {
+  ++num_dijkstra_runs_;
+  if (!exact) ++num_label_correcting_runs_;
+
+  // Counted in `counts` and flushed once per pass: this loop is the G_b
   // hot path and runs on the (serial) matcher thread.
-  int64_t gb_settled = 0;
-  int64_t gb_relaxed = 0;
-  int64_t gb_heap_pushes = 0;
-
-  auto relax = [&](int from, int to, double reduced_weight) {
-    ++gb_relaxed;
-    const double candidate = dist_[from] + reduced_weight;
-    if (candidate < dist_[to] - kEps) {
-      if (dist_[to] == kInfDistance) touched_.push_back(to);
-      dist_[to] = candidate;
-      parent_[to] = from;
-      settled_[to] = 0;  // label-correcting: allow re-settling
-      search_heap_.push({candidate, to});
-      ++gb_heap_pushes;
-    }
-  };
-
   while (!search_heap_.empty()) {
     const GbHeapEntry top = search_heap_.top();
+    // A resumed pass keeps the sink it holds unless a strictly nearer one
+    // settles (a fresh pass, or a label-correcting one, has none yet).
+    if (top.dist >= result.sink_distance) break;
     search_heap_.pop();
     if (settled_[top.node] || top.dist > dist_[top.node] + kEps) continue;
     settled_[top.node] = 1;
-    ++gb_settled;
+    ++counts.settled;
     if (top.node >= m_) {
       // Facility node.
       const int j = top.node - m_;
@@ -206,17 +223,18 @@ IncrementalMatcher::SearchResult IncrementalMatcher::Search(
         break;  // early stop: first settled usable facility is nearest
       }
       for (const FacilityMatch& match : facility_matches_[j]) {
-        relax(top.node, match.customer,
+        Relax(top.node, match.customer,
               -match.weight - potential_[top.node] +
-                  potential_[match.customer]);
+                  potential_[match.customer],
+              &counts);
       }
     } else {
       // Customer node.
       const int i = top.node;
       for (const MatchEdge& edge : edges_[i]) {
         if (edge.matched) continue;
-        relax(top.node, GbFacilityNode(edge.facility),
-              ReducedCost(i, edge));
+        Relax(top.node, GbFacilityNode(edge.facility), ReducedCost(i, edge),
+              &counts);
       }
     }
   }
@@ -268,9 +286,9 @@ IncrementalMatcher::SearchResult IncrementalMatcher::Search(
 
   MCFS_COUNT("matcher/searches", 1);
   if (!exact) MCFS_COUNT("matcher/label_correcting_searches", 1);
-  MCFS_COUNT("matcher/gb_nodes_settled", gb_settled);
-  MCFS_COUNT("matcher/gb_edges_relaxed", gb_relaxed);
-  MCFS_COUNT("matcher/gb_heap_pushes", gb_heap_pushes);
+  MCFS_COUNT("matcher/gb_nodes_settled", counts.settled);
+  MCFS_COUNT("matcher/gb_edges_relaxed", counts.relaxed);
+  MCFS_COUNT("matcher/gb_heap_pushes", counts.heap_pushes);
   return result;
 }
 
@@ -352,8 +370,8 @@ void IncrementalMatcher::RecheckNegativeArcs() {
 
 bool IncrementalMatcher::FindPair(int customer) {
   MCFS_CHECK(customer >= 0 && customer < m_);
+  SearchResult found = Search(customer);
   while (true) {
-    const SearchResult found = Search(customer);
     const bool have_sink = found.sink_facility != -1;
     if (have_sink && found.sink_distance <= found.threshold + kEps) {
       if (found.threshold != kInfDistance) {
@@ -383,8 +401,14 @@ bool IncrementalMatcher::FindPair(int customer) {
     }
     ++num_forced_materializations_;
     MCFS_COUNT("matcher/forced_materializations", 1);
-    const bool added = MaterializeNextEdge(found.threshold_customer);
+    const int grown = found.threshold_customer;
+    const bool added = MaterializeNextEdge(grown);
     MCFS_CHECK(added);  // threshold was finite, so the stream had a peek
+    // Potentials stay fixed until Augment, so an exact pass's labels stay
+    // exact once the new arc is relaxed: resume it. A negative arc needs
+    // the label-correcting search, which restarts from the source.
+    found = negative_arcs_.empty() ? ResumeSearch(grown, found)
+                                   : Search(customer);
   }
 }
 

@@ -85,7 +85,12 @@ inline bool operator==(const WarmSeed& a, const WarmSeed& b) {
 //     are tracked and the search falls back to a label-correcting
 //     variant until their reduced costs are restored — see DESIGN.md);
 //   * rewiring: augmenting along a shortest path reassigns earlier
-//     customer-facility matches when beneficial.
+//     customer-facility matches when beneficial;
+//   * resumed searches: a forced materialization keeps the G_b labels
+//     and heap of the exact pass before it and relaxes only the new arc
+//     (the potentials do not move until the augmentation, so the labels
+//     stay exact); a negative new arc restarts the label-correcting
+//     search instead.
 //
 // Every successful FindPair(c) adds exactly one unit of assignment for
 // customer c while keeping the overall matching minimum-cost for the
@@ -273,7 +278,26 @@ class IncrementalMatcher {
   // Materializes customer's next nearest facility edge; returns false if
   // the stream is exhausted.
   bool MaterializeNextEdge(int customer);
+  // G_b search counters, flushed to matcher/* once per pass.
+  struct SearchCounts {
+    int64_t settled = 0;
+    int64_t relaxed = 0;
+    int64_t heap_pushes = 0;
+  };
+  // Fresh search from `source_customer`: label-correcting while a
+  // negative arc is registered, else Dijkstra with an early stop at the
+  // first usable facility.
   SearchResult Search(int source_customer);
+  // Continues the exact pass that produced `previous` after
+  // MaterializeNextEdge(customer) added a non-negative arc: keeps the
+  // labels, relaxes the new arc, pops on while the heap top is below the
+  // held sink and recomputes the threshold. Counted in matcher/searches
+  // and matcher/resumed_searches.
+  SearchResult ResumeSearch(int customer, const SearchResult& previous);
+  // The pop loop, sink fallback and Theorem-1 threshold shared by both.
+  SearchResult RunSearch(bool exact, SearchResult result,
+                         SearchCounts counts);
+  void Relax(int from, int to, double reduced_weight, SearchCounts* counts);
   void Augment(int source_customer, const SearchResult& found);
   void UpdatePotentials(double sink_distance);
   void RecheckNegativeArcs();
@@ -318,7 +342,9 @@ class IncrementalMatcher {
     }
   };
 
-  // Search scratch (size m_ + l_), reset via touched_ between searches.
+  // Search scratch (size m_ + l_), reset via touched_ by every fresh
+  // Search; ResumeSearch keeps it, with the heap, across a
+  // materialization within one FindPair.
   std::vector<double> dist_;
   std::vector<int> parent_;  // predecessor encoding, see Search()
   std::vector<uint8_t> settled_;

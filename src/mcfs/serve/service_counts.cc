@@ -46,10 +46,10 @@ const CountRow kCountRows[C::kNumCounts] = {
 // the report fields it fills; null = none.
 struct ObservedRow {
   const char* name;
-  const char* count_name;
-  int64_t R::*count;
-  double R::*sum;
-  LatencySummary R::*latency;
+  const char* count_name = nullptr;
+  int64_t R::*count = nullptr;
+  double R::*sum = nullptr;
+  LatencySummary R::*latency = nullptr;
 };
 const ObservedRow kObservedRows[C::kNumObserved] = {
     {"serve/batch_size", "serve/batches", &R::batches},

@@ -93,8 +93,7 @@ std::string ServiceReport::Json() const {
   out << "{\"service\": {\"epoch\": " << epoch
       << ", \"epochs_built\": " << epochs_built
       << ", \"warm_build_seconds\": " << JsonNumber(warm_build_seconds)
-      << ", \"matcher_backend\": \""
-      << (matcher_backend.empty() ? "sspa" : matcher_backend) << "\"}"
+      << "}"
       << ", \"requests\": {\"admitted\": " << requests_admitted
       << ", \"rejected\": " << requests_rejected
       << ", \"completed\": " << requests_completed

@@ -51,11 +51,6 @@ struct ServiceReport {
   uint64_t epoch = 0;         // current warm-state epoch
   int64_t epochs_built = 0;   // warm-state builds (initial + updates)
   double warm_build_seconds = 0.0;  // total across all builds
-  // Matching engine the service was configured with ("sspa",
-  // "cost_scaling" or "auto"; flow/matcher_backend.h). Surfaced as
-  // serve/matcher_backend in the report JSON so recorded reports say
-  // which engine produced their timings.
-  std::string matcher_backend;
 
   int64_t requests_admitted = 0;
   int64_t requests_rejected = 0;  // queue full / shut down

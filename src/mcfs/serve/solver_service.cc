@@ -175,9 +175,8 @@ void ResponseHandle::Complete(SolveResponse response) {
 // SolverService
 
 bool SolverService::CacheKey::operator<(const CacheKey& other) const {
-  return std::tie(k, matcher, customers, facility_subset) <
-         std::tie(other.k, other.matcher, other.customers,
-                  other.facility_subset);
+  return std::tie(k, customers, facility_subset) <
+         std::tie(other.k, other.customers, other.facility_subset);
 }
 
 SolverService::SolverService(const Graph* graph,
@@ -1044,16 +1043,6 @@ Status SolverService::BuildInstance(const WarmState& warm,
   return OkStatus();
 }
 
-SolverService::CacheKey SolverService::MakeCacheKey(
-    const SolveRequest& request, const McfsInstance& instance) const {
-  MatchShape shape;
-  shape.customers = static_cast<int64_t>(instance.m());
-  shape.facilities = static_cast<int64_t>(instance.l());
-  for (const int c : instance.capacities) shape.total_capacity += c;
-  return CacheKey{request.customers, request.k, request.facility_subset,
-                  ResolveMatcherBackend(options_.wma.matcher, shape)};
-}
-
 bool SolverService::SettledBeforeSolve(const WarmState& warm,
                                        const McfsInstance& instance,
                                        const std::vector<int>& subset,
@@ -1139,7 +1128,7 @@ void SolverService::Execute(PendingRequest& pending) {
     FinishRequest(pending, std::move(response));
     return;
   }
-  const CacheKey key = MakeCacheKey(request, instance);
+  const CacheKey key = MakeCacheKey(request);
   const bool cacheable = Cacheable(request);
 
   if (cacheable) {
@@ -1170,7 +1159,6 @@ void SolverService::Execute(PendingRequest& pending) {
   wma.deadline_ms = DeadlineMs(request);
   wma.cancel = request.cancel;
   wma.trace_id = request.trace_id;
-  wma.matcher = key.matcher;
   if (options_.fault_plan != nullptr &&
       options_.fault_plan->ShouldFire(FaultKind::kDeadlineCut)) {
     // Deterministic mid-solve expiry at a solver checkpoint — the
@@ -1331,7 +1319,7 @@ bool SolverService::FastServe(PendingRequest& pending) {
 
   McfsInstance instance;
   BuildInstance(*warm, request.customers, request.k, {}, &instance);
-  CacheKey key = MakeCacheKey(request, instance);
+  CacheKey key = MakeCacheKey(request);
   const bool cacheable = Cacheable(request);
 
   if (cacheable) {
@@ -1487,7 +1475,6 @@ void SolverService::RunRefinement(const RefineTask& task) {
   wma.deadline_ms = 0;
   wma.cancel = nullptr;
   wma.trace_id = task.trace_id;
-  wma.matcher = task.key.matcher;
   WallTimer solve_timer;
   WmaResult result = RunWma(instance, wma);
   // Fast completions are excluded from the admission estimator;
@@ -1554,7 +1541,7 @@ CacheProbe SolverService::ProbeCache(const SolveRequest& request) const {
            .ok()) {
     return probe;
   }
-  const CacheKey key = MakeCacheKey(request, instance);
+  const CacheKey key = MakeCacheKey(request);
   std::lock_guard<std::mutex> lock(cache_mutex_);
   const auto it = cache_.find(key);
   if (it == cache_.end()) return probe;
@@ -1656,7 +1643,6 @@ ServiceReport SolverService::Report() const {
   }
   counts_.FillReport(&report);
   report.epoch = epoch();
-  report.matcher_backend = MatcherBackendName(options_.wma.matcher);
   return report;
 }
 

@@ -196,7 +196,7 @@ struct SolveRequest {
   // comes back in SolveResponse::trace_id.
   uint64_t trace_id = 0;
   // SLO tier this request is held to; empty = "default".
-  std::string tier;
+  std::string tier{};
   // Opt into degraded-mode answers (DESIGN.md §4.13): when this solve
   // deadline-cuts or the verifier rejects it, the service walks the
   // degradation ladder — anytime answer if it verifies, else the
@@ -445,9 +445,8 @@ class SolverService {
   void DrainRefinements();
 
   // Cache introspection for one request identity (same key derivation
-  // as Execute, including the shape-resolved matcher backend): what
-  // tier the entry holds, under which epoch and trace id. Safe to call
-  // concurrently; the answer is a snapshot.
+  // as Execute): what tier the entry holds, under which epoch and trace
+  // id. Safe to call concurrently; the answer is a snapshot.
   CacheProbe ProbeCache(const SolveRequest& request) const;
 
   // Stops admission, drains the queue, joins the dispatcher, then
@@ -503,17 +502,11 @@ class SolverService {
     double admitted_at = 0.0;  // TraceNowUs-based, seconds
   };
 
-  // Cache key: the full request identity (no hashing collisions). The
-  // resolved matcher backend is part of the identity: with
-  // options.wma.matcher == kAuto the engine depends on the request's
-  // shape, and a cached entry must only be served to requests the same
-  // engine would have produced (timings and stats are engine-specific
-  // even though objectives agree).
+  // Cache key: the full request identity (no hashing collisions).
   struct CacheKey {
     std::vector<NodeId> customers;
     int k;
     std::vector<int> facility_subset;
-    MatcherBackendKind matcher = MatcherBackendKind::kSspa;
     bool operator<(const CacheKey& other) const;
   };
   struct CacheEntry {
@@ -574,11 +567,9 @@ class SolverService {
                        const std::vector<NodeId>& customers, int k,
                        const std::vector<int>& subset,
                        McfsInstance* instance) const;
-  // The cache identity, with the matcher backend resolved for the
-  // instance's shape: that resolved kind also runs the solve, so an
-  // auto-picked engine never serves an entry another engine produced.
-  CacheKey MakeCacheKey(const SolveRequest& request,
-                        const McfsInstance& instance) const;
+  static CacheKey MakeCacheKey(const SolveRequest& request) {
+    return CacheKey{request.customers, request.k, request.facility_subset};
+  }
   // Warm validation (a rejection is re-derived on the cold path so the
   // Status is byte-identical to SolveWma's), then SolveWma's m() == 0
   // shortcut. True when either one settled `response` without a solve.

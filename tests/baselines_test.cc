@@ -41,7 +41,9 @@ TEST_P(BaselineValidityTest, HilbertSolutionsAreValid) {
   const ValidationResult validation =
       ValidateSolution(geo.instance, solution, true);
   EXPECT_TRUE(validation.ok) << validation.message;
-  if (IsFeasible(geo.instance)) EXPECT_TRUE(solution.feasible);
+  if (IsFeasible(geo.instance)) {
+    EXPECT_TRUE(solution.feasible);
+  }
 }
 
 TEST_P(BaselineValidityTest, BrnnSolutionsAreValid) {
@@ -50,7 +52,9 @@ TEST_P(BaselineValidityTest, BrnnSolutionsAreValid) {
   const ValidationResult validation =
       ValidateSolution(geo.instance, solution, true);
   EXPECT_TRUE(validation.ok) << validation.message;
-  if (IsFeasible(geo.instance)) EXPECT_TRUE(solution.feasible);
+  if (IsFeasible(geo.instance)) {
+    EXPECT_TRUE(solution.feasible);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSweep, BaselineValidityTest,

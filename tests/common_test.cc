@@ -154,7 +154,7 @@ TEST(TableTest, FormatsNumbersAndCsv) {
 TEST(TimerTest, MeasuresElapsedTime) {
   WallTimer timer;
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(timer.Seconds(), 0.0);
   EXPECT_LT(timer.Seconds(), 5.0);
   timer.Restart();

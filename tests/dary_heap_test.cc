@@ -78,7 +78,9 @@ TEST_P(DaryHeapRandomOpsTest, AgreesWithStdPriorityQueue) {
       reference.pop();
     }
     ASSERT_EQ(ours.size(), reference.size());
-    if (!reference.empty()) ASSERT_EQ(ours.top(), reference.top());
+    if (!reference.empty()) {
+      ASSERT_EQ(ours.top(), reference.top());
+    }
   }
 }
 

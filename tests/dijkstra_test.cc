@@ -245,7 +245,9 @@ TEST_P(IncrementalDijkstraClusteredTest, FullyDrainedMatchesShortestPaths) {
   // Exactly the reachable nodes were settled; the rest report infinity.
   for (NodeId v = 0; v < graph.NumNodes(); ++v) {
     EXPECT_EQ(settled[v], full[v] != kInfDistance) << v;
-    if (!settled[v]) EXPECT_EQ(inc.SettledDistance(v), kInfDistance);
+    if (!settled[v]) {
+      EXPECT_EQ(inc.SettledDistance(v), kInfDistance);
+    }
   }
   EXPECT_EQ(inc.num_settled(),
             static_cast<size_t>(std::count_if(

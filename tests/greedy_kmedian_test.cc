@@ -44,7 +44,9 @@ TEST_P(GreedyKMedianValidityTest, SolutionsAreValid) {
   const ValidationResult validation =
       ValidateSolution(ri.instance, solution, true);
   EXPECT_TRUE(validation.ok) << validation.message;
-  if (IsFeasible(ri.instance)) EXPECT_TRUE(solution.feasible);
+  if (IsFeasible(ri.instance)) {
+    EXPECT_TRUE(solution.feasible);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSweep, GreedyKMedianValidityTest,

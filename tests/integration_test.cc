@@ -12,6 +12,8 @@
 #include "mcfs/core/verifier.h"
 #include "mcfs/core/wma.h"
 #include "mcfs/exact/bb_solver.h"
+#include "mcfs/flow/transport.h"
+#include "mcfs/graph/dijkstra.h"
 #include "mcfs/graph/graph_io.h"
 #include "mcfs/graph/road_network.h"
 #include "mcfs/workload/bike_sim.h"
@@ -117,10 +119,11 @@ TEST_F(IntegrationTest, BikePipelineMatchesExactOnSmallK) {
   }
 }
 
-// Backend cross-check on the production pipeline: both matching
-// engines, at every supported thread count, must agree on the full
-// solve's objective (1e-9 relative) and pass the independent verifier.
-TEST_F(IntegrationTest, MatcherBackendsAgreeAndVerifyAcrossThreadCounts) {
+// Final-assignment cross-check on the production pipeline: at every
+// supported thread count the full solve is bit-identical, its
+// assignment reaches the dense transportation optimum over the selected
+// facilities (1e-9 relative), and it passes the independent verifier.
+TEST_F(IntegrationTest, FinalAssignmentMatchesDenseOracleAcrossThreadCounts) {
   YelpSimOptions yelp;
   yelp.num_venues = 80;
   yelp.num_customers = 120;
@@ -134,22 +137,40 @@ TEST_F(IntegrationTest, MatcherBackendsAgreeAndVerifyAcrossThreadCounts) {
   instance.k = 25;
   ASSERT_TRUE(IsFeasible(instance));
 
-  WmaOptions sspa_options;
-  sspa_options.threads = 1;
-  const WmaResult sspa = RunWma(instance, sspa_options);
-  ASSERT_TRUE(sspa.solution.feasible);
+  WmaOptions serial;
+  serial.threads = 1;
+  const WmaResult reference = RunWma(instance, serial);
+  ASSERT_TRUE(reference.solution.feasible);
+  const std::vector<int>& selected = reference.solution.selected;
+  const int m = instance.m();
+  const int l = static_cast<int>(selected.size());
+  std::vector<double> cost(static_cast<size_t>(m) * l);
+  std::vector<int> capacities;
+  for (const int j : selected) capacities.push_back(instance.capacities[j]);
+  for (int i = 0; i < m; ++i) {
+    const std::vector<double> dist =
+        ShortestPathsFrom(City(), instance.customers[i]);
+    for (int s = 0; s < l; ++s) {
+      cost[static_cast<size_t>(i) * l + s] =
+          dist[instance.facility_nodes[selected[s]]];
+    }
+  }
+  const std::optional<TransportResult> oracle =
+      SolveDenseTransport(m, l, cost, capacities);
+  ASSERT_TRUE(oracle.has_value());
+  EXPECT_NEAR(reference.solution.objective, oracle->cost,
+              1e-9 * (1.0 + oracle->cost));
+
   for (const int threads : {1, 2, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    WmaOptions cs_options;
-    cs_options.matcher = MatcherBackendKind::kCostScaling;
-    cs_options.threads = threads;
-    const WmaResult cs = RunWma(instance, cs_options);
-    ASSERT_TRUE(cs.solution.feasible);
-    EXPECT_EQ(cs.stats.matcher_backend, "cost_scaling");
-    EXPECT_EQ(cs.solution.selected, sspa.solution.selected);
-    EXPECT_NEAR(cs.solution.objective, sspa.solution.objective,
-                1e-9 * (1.0 + sspa.solution.objective));
-    const VerifyReport report = VerifySolution(instance, cs.solution);
+    WmaOptions options;
+    options.threads = threads;
+    const WmaResult result = RunWma(instance, options);
+    ASSERT_TRUE(result.solution.feasible);
+    EXPECT_EQ(result.solution.selected, selected);
+    EXPECT_EQ(result.solution.assignment, reference.solution.assignment);
+    EXPECT_EQ(result.solution.objective, reference.solution.objective);
+    const VerifyReport report = VerifySolution(instance, result.solution);
     EXPECT_TRUE(report.ok) << report.ToString();
   }
 }

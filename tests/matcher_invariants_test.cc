@@ -1,8 +1,8 @@
 // Property tests on the incremental matcher's internal invariants: the
 // potentials must keep every materialized edge dual-feasible after each
 // FindPair (Theorem 1's machinery), across random instances, interleaved
-// demands, and tight capacities — plus the cross-backend contract that
-// the SSPA and cost-scaling engines agree on every batch assignment.
+// demands, and tight capacities — plus the batch assignment's contract
+// against the dense transportation oracle at every thread count.
 
 #include <cmath>
 #include <numeric>
@@ -11,12 +11,13 @@
 
 #include "mcfs/core/instance.h"
 #include "mcfs/flow/matcher.h"
-#include "mcfs/flow/matcher_backend.h"
+#include "mcfs/flow/transport.h"
 #include "tests/test_util.h"
 
 namespace mcfs {
 namespace {
 
+using testing_util::DistanceMatrix;
 using testing_util::MakeRandomInstance;
 using testing_util::RandomInstance;
 
@@ -85,13 +86,13 @@ TEST(MatcherInvariantTest, CostIsMonotoneInDemand) {
   }
 }
 
-// Both matching engines solve the same min-cost flow; on any instance
-// they must agree on assignment cardinality, and on fully-assigned
-// instances the objectives must match to 1e-9 relative — at every
-// thread count, since threading never changes either engine's result.
+// The batch assignment solves a min-cost flow: on any instance it must
+// assign everyone exactly when the dense transportation oracle is
+// feasible, reach the oracle's objective to 1e-9 relative, and be
+// bit-identical at every thread count.
 class BackendEquivalenceTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(BackendEquivalenceTest, CostScalingMatchesSspaAtEveryThreadCount) {
+TEST_P(BackendEquivalenceTest, MatchesDenseOracleAtEveryThreadCount) {
   Rng rng(7100 + GetParam());
   const int n = 40 + static_cast<int>(rng.UniformInt(0, 120));
   const int m = 6 + static_cast<int>(rng.UniformInt(0, 18));
@@ -102,27 +103,23 @@ TEST_P(BackendEquivalenceTest, CostScalingMatchesSspaAtEveryThreadCount) {
       MakeRandomInstance(n, m, l, l, max_capacity, rng, parts);
   std::vector<int> selected(l);
   std::iota(selected.begin(), selected.end(), 0);
+  const std::optional<TransportResult> oracle =
+      SolveDenseTransport(m, l, DistanceMatrix(ri.instance),
+                          ri.instance.capacities);
 
-  for (const int threads : {1, 2, 8}) {
+  const McfsSolution serial = AssignOptimally(ri.instance, selected, 1);
+  EXPECT_EQ(serial.feasible, oracle.has_value());
+  if (oracle.has_value()) {
+    EXPECT_NEAR(serial.objective, oracle->cost,
+                1e-9 * (1.0 + std::abs(oracle->cost)));
+  }
+  for (const int threads : {2, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    const McfsSolution sspa = AssignOptimally(
-        ri.instance, selected, threads, MatcherBackendKind::kSspa);
-    const McfsSolution cs = AssignOptimally(
-        ri.instance, selected, threads, MatcherBackendKind::kCostScaling);
-    EXPECT_EQ(sspa.feasible, cs.feasible);
-    int sspa_assigned = 0, cs_assigned = 0;
-    for (const int a : sspa.assignment) sspa_assigned += a >= 0 ? 1 : 0;
-    for (const int a : cs.assignment) cs_assigned += a >= 0 ? 1 : 0;
-    EXPECT_EQ(sspa_assigned, cs_assigned);
-    if (sspa.feasible) {
-      EXPECT_NEAR(cs.objective, sspa.objective,
-                  1e-9 * (1.0 + std::abs(sspa.objective)));
-    } else {
-      // Saturated instances: both engines assign the maximum number of
-      // customers; cost scaling may find a cheaper max-cardinality set.
-      EXPECT_LE(cs.objective,
-                sspa.objective + 1e-9 * (1.0 + std::abs(sspa.objective)));
-    }
+    const McfsSolution threaded =
+        AssignOptimally(ri.instance, selected, threads);
+    EXPECT_EQ(threaded.feasible, serial.feasible);
+    EXPECT_EQ(threaded.assignment, serial.assignment);
+    EXPECT_EQ(threaded.objective, serial.objective);
   }
 }
 

@@ -5,10 +5,13 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <numeric>
+#include <optional>
 #include <set>
 #include <utility>
 
 #include "mcfs/flow/transport.h"
+#include "mcfs/obs/metrics.h"
 #include "tests/test_util.h"
 
 namespace mcfs {
@@ -202,6 +205,104 @@ TEST_P(MatcherDemandOptimalityTest, MultiDemandMatchesOracle) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSweep, MatcherDemandOptimalityTest,
                          ::testing::Range(0, 40));
+
+// Tie-heavy, saturated instances for the resumed G_b search. Edge
+// weights are small integers, so equal-length augmenting paths and
+// equal candidate distances are common. Every component runs at
+// occupancy 0.95-1.0, so late customers force materializations, each of
+// which resumes the search, and rewire earlier matches.
+RandomInstance MakeSaturatedInstance(int parts, Rng& rng) {
+  const int per_part = 12 + static_cast<int>(rng.UniformInt(0, 18));
+  GraphBuilder builder(per_part * parts);
+  RandomInstance out;
+  for (int p = 0; p < parts; ++p) {
+    const int lo = p * per_part;
+    for (int v = lo + 1; v < lo + per_part; ++v) {
+      builder.AddEdge(static_cast<NodeId>(rng.UniformInt(lo, v - 1)), v,
+                      static_cast<double>(rng.UniformInt(1, 3)));
+    }
+    const int hi = lo + per_part - 1;
+    for (int e = 0; e < per_part / 2; ++e) {
+      const NodeId u = static_cast<NodeId>(rng.UniformInt(lo, hi));
+      const NodeId v = static_cast<NodeId>(rng.UniformInt(lo, hi));
+      if (u != v) {
+        builder.AddEdge(u, v, static_cast<double>(rng.UniformInt(1, 3)));
+      }
+    }
+    const int facilities = 3 + static_cast<int>(rng.UniformInt(0, 3));
+    int capacity = 0;
+    for (const int node : rng.SampleWithoutReplacement(per_part, facilities)) {
+      out.instance.facility_nodes.push_back(lo + node);
+      out.instance.capacities.push_back(
+          static_cast<int>(rng.UniformInt(2, 6)));
+      capacity += out.instance.capacities.back();
+    }
+    const int customers =
+        capacity - static_cast<int>(rng.UniformInt(0, capacity / 20));
+    for (int i = 0; i < customers; ++i) {
+      out.instance.customers.push_back(
+          static_cast<NodeId>(rng.UniformInt(lo, hi)));
+    }
+  }
+  // Interleave the components' customers in the FindPair order.
+  rng.Shuffle(out.instance.customers);
+  out.graph = builder.Build();
+  out.instance.graph = &out.graph;
+  out.instance.k = out.instance.l();
+  return out;
+}
+
+class SaturatedTieSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(SaturatedTieSweep, ResumedSearchesMatchDenseOracle) {
+  Rng rng(8200 + GetParam());
+  const RandomInstance ri = MakeSaturatedInstance(1 + GetParam() % 3, rng);
+  const McfsInstance& instance = ri.instance;
+  const int m = instance.m();
+  const int l = instance.l();
+  const std::optional<TransportResult> oracle = SolveDenseTransport(
+      m, l, DistanceMatrix(instance), instance.capacities);
+  ASSERT_TRUE(oracle.has_value());  // every component fits its capacity
+  const double tolerance = 1e-9 * (1.0 + oracle->cost);
+
+  obs::EnableMetrics(true);
+  obs::ResetMetrics();
+  IncrementalMatcher matcher(instance.graph, instance.customers,
+                             instance.facility_nodes, instance.capacities);
+  for (int i = 0; i < m; ++i) {
+    ASSERT_TRUE(matcher.FindPair(i)) << "customer " << i;
+    ASSERT_TRUE(matcher.VerifyDualFeasibility()) << "after customer " << i;
+  }
+  const obs::MetricsSnapshot snapshot = obs::SnapshotMetrics();
+  obs::EnableMetrics(false);
+  auto counter = [&](const char* name) -> int64_t {
+    const auto it = snapshot.counters.find(name);
+    return it == snapshot.counters.end() ? 0 : it->second;
+  };
+  const int64_t resumed = counter("matcher/resumed_searches");
+  EXPECT_GT(resumed, 0);
+  // Resumed passes count as searches too; every FindPair starts fresh.
+  EXPECT_GE(counter("matcher/searches") - resumed, m);
+  EXPECT_EQ(counter("matcher/searches"), matcher.num_dijkstra_runs());
+  EXPECT_NEAR(matcher.TotalCost(), oracle->cost, tolerance);
+
+  IncrementalMatcher batch(instance.graph, instance.customers,
+                           instance.facility_nodes, instance.capacities);
+  EXPECT_TRUE(batch.MatchAllOnce());
+  EXPECT_EQ(batch.TotalCost(), matcher.TotalCost());
+
+  std::vector<int> selected(l);
+  std::iota(selected.begin(), selected.end(), 0);
+  for (const int threads : {1, 2, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const McfsSolution solution = AssignOptimally(instance, selected, threads);
+    EXPECT_TRUE(solution.feasible);
+    EXPECT_NEAR(solution.objective, oracle->cost, tolerance);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSweep, SaturatedTieSweep,
+                         ::testing::Range(0, 24));
 
 // sigma_j and matched costs rebuilt from every matched pair, the way the
 // WMA loop built them before it synced only the changed facilities.

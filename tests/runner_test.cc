@@ -48,7 +48,9 @@ TEST(RunnerTest, SuiteProducesOneOutcomePerEnabledAlgorithm) {
   EXPECT_EQ(outcomes[7].algorithm, "Exact (B&B)");
   for (const AlgoOutcome& outcome : outcomes) {
     EXPECT_GE(outcome.seconds, 0.0);
-    if (!outcome.failed) EXPECT_TRUE(outcome.feasible);
+    if (!outcome.failed) {
+      EXPECT_TRUE(outcome.feasible);
+    }
   }
   // The exact reference (when it succeeds) lower-bounds everything.
   const AlgoOutcome& exact = outcomes.back();

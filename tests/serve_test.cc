@@ -310,45 +310,12 @@ TEST(ServeTest, ReportCountsAndJsonShape) {
         "\"rejected\"", "\"completed\"", "\"failed\"", "\"cache_hits\"",
         "\"deadline_terminations\"", "\"batches\"", "\"latency_seconds\"",
         "\"p50\"", "\"p99\"", "\"phase_seconds\"", "\"amortization\"",
-        "\"warm_preprocess_seconds_per_request\"",
-        "\"matcher_backend\""}) {
+        "\"warm_preprocess_seconds_per_request\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << "\n" << json;
   }
   // Non-finite doubles must never leak into the document.
   EXPECT_EQ(json.find("inf"), std::string::npos) << json;
   EXPECT_EQ(json.find("nan"), std::string::npos) << json;
-}
-
-TEST(ServeTest, MatcherBackendLabeledCachedAndEquivalent) {
-  ServeFixture fx(21);
-  const SolveRequest request{fx.catalog().customers, fx.catalog().k, {}, 0,
-                             nullptr};
-
-  ServiceOptions cs_options;
-  cs_options.wma.matcher = MatcherBackendKind::kCostScaling;
-  auto cs_service = fx.MakeService(cs_options);
-  const SolveResponse first = cs_service->SolveSync(request);
-  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
-  const SolveResponse second = cs_service->SolveSync(request);
-  EXPECT_TRUE(second.cache_hit);
-  EXPECT_TRUE(SameSolution(first.solution, second.solution));
-
-  // Same request against an SSPA-configured service: identical
-  // selection, objective within the cross-backend tolerance.
-  auto sspa_service = fx.MakeService();
-  const SolveResponse sspa = sspa_service->SolveSync(request);
-  ASSERT_TRUE(sspa.status.ok());
-  EXPECT_EQ(first.solution.selected, sspa.solution.selected);
-  EXPECT_NEAR(first.solution.objective, sspa.solution.objective,
-              1e-9 * (1.0 + sspa.solution.objective));
-
-  // The report labels the engine the service is configured with.
-  EXPECT_NE(cs_service->Report().Json().find(
-                "\"matcher_backend\": \"cost_scaling\""),
-            std::string::npos);
-  EXPECT_NE(sspa_service->Report().Json().find(
-                "\"matcher_backend\": \"sspa\""),
-            std::string::npos);
 }
 
 // --- Observability v2 (DESIGN.md §4.11) ---

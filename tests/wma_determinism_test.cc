@@ -18,7 +18,6 @@
 
 #include "mcfs/common/random.h"
 #include "mcfs/core/wma.h"
-#include "mcfs/flow/cost_scaling.h"
 #include "mcfs/graph/generators.h"
 #include "mcfs/obs/metrics.h"
 #include "mcfs/workload/workload.h"
@@ -252,133 +251,6 @@ TEST(WmaDeterminismTest, OnlyTheFinalAssignmentDispatchesToThePool) {
     EXPECT_EQ(parallel_fors, naive ? 0 : 1);
   }
   obs::EnableMetrics(false);
-}
-
-// The cost-scaling backend must reach the SSPA objective on the final
-// assignment (the growth loop is SSPA under every backend, so the
-// selection is identical) — and must itself be deterministic across
-// thread counts.
-TEST(WmaDeterminismTest, CostScalingBackendMatchesSspaAcrossThreadCounts) {
-  SyntheticNetworkOptions network;
-  network.num_nodes = 600;
-  network.alpha = 2.0;
-  network.seed = 11;
-  const Graph graph = GenerateSyntheticNetwork(network);
-  Rng rng(21);
-  const McfsInstance instance =
-      MakeInstanceOnGraph(graph, /*m=*/80, /*l=*/120, /*k=*/15,
-                          /*max_capacity=*/8, rng);
-
-  WmaOptions sspa_options;
-  sspa_options.threads = 1;
-  const WmaResult sspa = RunWma(instance, sspa_options);
-  ASSERT_TRUE(sspa.solution.feasible);
-  EXPECT_EQ(sspa.stats.matcher_backend, "sspa");
-
-  const WmaResult* reference = nullptr;
-  WmaResult first;
-  for (const int threads : kThreadCounts) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    WmaOptions options;
-    options.matcher = MatcherBackendKind::kCostScaling;
-    options.threads = threads;
-    const WmaResult result = RunWma(instance, options);
-    EXPECT_EQ(result.stats.matcher_backend, "cost_scaling");
-    EXPECT_TRUE(result.solution.feasible);
-    EXPECT_EQ(result.solution.selected, sspa.solution.selected);
-    EXPECT_NEAR(result.solution.objective, sspa.solution.objective,
-                1e-9 * (1.0 + std::abs(sspa.solution.objective)));
-    if (reference == nullptr) {
-      first = result;
-      reference = &first;
-    } else {
-      // Bit-identical across thread counts, like the SSPA contract.
-      EXPECT_EQ(result.solution.objective, reference->solution.objective);
-      EXPECT_EQ(result.solution.assignment, reference->solution.assignment);
-    }
-  }
-}
-
-// A warm seed offered to the cost-scaling backend is refused with the
-// typed kUnsupported status and the final assignment runs cold — same
-// objective as a warm SSPA epoch, refusal counted, nothing resumed.
-TEST(WmaDeterminismTest, CostScalingRefusesWarmSeedAndFallsBackCold) {
-  SyntheticNetworkOptions network;
-  network.num_nodes = 600;
-  network.alpha = 2.0;
-  network.seed = 11;
-  const Graph graph = GenerateSyntheticNetwork(network);
-  Rng rng(21);
-  const McfsInstance instance =
-      MakeInstanceOnGraph(graph, /*m=*/80, /*l=*/120, /*k=*/15,
-                          /*max_capacity=*/8, rng);
-
-  WmaOptions epoch0;
-  epoch0.threads = 1;
-  epoch0.export_warm_seed = true;
-  const WmaResult cold = RunWma(instance, epoch0);
-  ASSERT_TRUE(cold.solution.feasible);
-  ASSERT_NE(cold.warm_seed, nullptr);
-  EXPECT_EQ(cold.stats.warm_backend_refusals, 0);
-
-  WmaOptions warm_sspa;
-  warm_sspa.threads = 1;
-  warm_sspa.warm_seed = cold.warm_seed;
-  const WmaResult sspa = RunWma(instance, warm_sspa);
-  ASSERT_TRUE(sspa.solution.feasible);
-  EXPECT_TRUE(sspa.stats.warm_final_resumed);
-
-  WmaOptions warm_cs = warm_sspa;
-  warm_cs.matcher = MatcherBackendKind::kCostScaling;
-  const WmaResult cs = RunWma(instance, warm_cs);
-  EXPECT_TRUE(cs.solution.feasible);
-  EXPECT_EQ(cs.stats.matcher_backend, "cost_scaling");
-  EXPECT_GT(cs.stats.warm_backend_refusals, 0);
-  EXPECT_FALSE(cs.stats.warm_final_resumed);
-  EXPECT_NEAR(cs.solution.objective, sspa.solution.objective,
-              1e-9 * (1.0 + std::abs(sspa.solution.objective)));
-  // The refusal itself is the typed status, not a crash or a silent
-  // downgrade to SSPA.
-  const Status refusal = CostScalingMatcher::WarmSeedStatus();
-  EXPECT_EQ(refusal.code(), StatusCode::kUnsupported);
-}
-
-// With export_warm_seed under the cost-scaling backend only the
-// trajectory half is exported: cost scaling has no resumable matcher
-// state, so final_assign stays empty and the next epoch re-matches
-// from seeded streams.
-TEST(WmaDeterminismTest, CostScalingExportsTrajectoryOnlySeed) {
-  SyntheticNetworkOptions network;
-  network.num_nodes = 500;
-  network.alpha = 2.0;
-  network.seed = 55;
-  const Graph graph = GenerateSyntheticNetwork(network);
-  Rng rng(56);
-  const McfsInstance instance =
-      MakeInstanceOnGraph(graph, /*m=*/60, /*l=*/90, /*k=*/12,
-                          /*max_capacity=*/7, rng);
-
-  WmaOptions options;
-  options.threads = 1;
-  options.matcher = MatcherBackendKind::kCostScaling;
-  options.export_warm_seed = true;
-  const WmaResult result = RunWma(instance, options);
-  ASSERT_TRUE(result.solution.feasible);
-  ASSERT_NE(result.warm_seed, nullptr);
-  EXPECT_FALSE(result.warm_seed->trajectory.customers.empty());
-  EXPECT_TRUE(result.warm_seed->final_assign.customers.empty());
-
-  // The trajectory-only seed still warms the next epoch (streams are
-  // replayed; the final assignment just re-matches).
-  WmaOptions next;
-  next.threads = 1;
-  next.warm_seed = result.warm_seed;
-  const WmaResult warm = RunWma(instance, next);
-  EXPECT_TRUE(warm.solution.feasible);
-  EXPECT_FALSE(warm.stats.warm_final_resumed);
-  EXPECT_GT(warm.stats.warm_stream_entries, 0);
-  EXPECT_NEAR(warm.solution.objective, result.solution.objective,
-              1e-9 * (1.0 + std::abs(result.solution.objective)));
 }
 
 TEST(WmaDeterminismTest, RandomSparseInstancesSweep) {

@@ -107,7 +107,9 @@ TEST(WmaPropertyTest, NaiveSeedsProduceValidVariedSolutions) {
   }
   // Seeds explore different greedy orders; objectives may differ but
   // must stay within a sane band of each other.
-  if (max_obj > 0.0) EXPECT_LE(max_obj, 5.0 * min_obj + 1e-9);
+  if (max_obj > 0.0) {
+    EXPECT_LE(max_obj, 5.0 * min_obj + 1e-9);
+  }
 }
 
 TEST(WmaPropertyTest, ExactWmaBeatsOrMatchesNaiveOnAverage) {

@@ -134,7 +134,9 @@ TEST(WmaUniformFirstTest, ValidOnNonuniformInstances) {
     const ValidationResult validation = ValidateSolution(
         ri.instance, uf.solution, /*check_distances=*/true);
     EXPECT_TRUE(validation.ok) << validation.message;
-    if (IsFeasible(ri.instance)) EXPECT_TRUE(uf.solution.feasible);
+    if (IsFeasible(ri.instance)) {
+      EXPECT_TRUE(uf.solution.feasible);
+    }
   }
 }
 
@@ -144,8 +146,8 @@ TEST(WmaUniformFirstTest, ValidOnNonuniformInstances) {
 // field for field and bit for bit, cold and warm, at any thread count.
 void ExpectFreshAssignment(const McfsInstance& instance,
                            const McfsSolution& solution) {
-  const McfsSolution fresh = AssignOptimally(
-      instance, solution.selected, /*threads=*/1, MatcherBackendKind::kSspa);
+  const McfsSolution fresh =
+      AssignOptimally(instance, solution.selected, /*threads=*/1);
   EXPECT_EQ(solution.feasible, fresh.feasible);
   EXPECT_EQ(solution.selected, fresh.selected);
   EXPECT_EQ(solution.assignment, fresh.assignment);
