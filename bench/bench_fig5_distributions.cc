@@ -73,7 +73,8 @@ int main(int argc, char** argv) {
     table.AddRow({name, FmtInt(n),
                   FmtDouble(MeanNearestNeighborDistance(points), 2),
                   FmtDouble(graph.AverageDegree(), 2)});
-    MaybeDump(points, dump_prefix, "_" + std::to_string(clusters));
+    MaybeDump(points, dump_prefix,
+              std::string("_").append(std::to_string(clusters)));
   }
   table.Print();
   return 0;

@@ -1,8 +1,8 @@
 // Serving bench: a closed-loop load generator against the long-lived
 // SolverService. Pre-generates a mix of solve requests on one city
 // network, then measures:
-//   * direct — every request as its own SolveWma call (cold path: each
-//     one re-pays instance validation's component scan);
+//   * direct — every request as its own SolveWma call (no epoch cache,
+//     no batching);
 //   * service — the same requests through SolverService (`--clients`
 //     closed-loop threads, bounded queue, batching), reporting
 //     requests/sec and p50/p99 latency from the service report.

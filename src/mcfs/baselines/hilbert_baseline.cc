@@ -37,7 +37,7 @@ McfsSolution RunHilbertBaseline(const McfsInstance& instance) {
   const double extent = std::max({max_x - min_x, max_y - min_y, 1e-9});
 
   // Partition customers and facilities by connected component.
-  const ComponentLabeling components = ConnectedComponents(graph);
+  const ComponentLabeling& components = graph.components();
   std::vector<std::vector<int>> customers_in(components.num_components);
   std::vector<std::vector<int>> facilities_in(components.num_components);
   for (int i = 0; i < m; ++i) {

@@ -1,6 +1,5 @@
 #include "mcfs/core/instance.h"
 
-#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <set>
@@ -85,33 +84,6 @@ ValidationResult ValidateSolution(const McfsInstance& instance,
     }
   }
   return {true, ""};
-}
-
-bool IsFeasible(const McfsInstance& instance) {
-  const ComponentLabeling components = ConnectedComponents(*instance.graph);
-  std::vector<int64_t> customers_in(components.num_components, 0);
-  for (const NodeId c : instance.customers) {
-    customers_in[components.component_of[c]]++;
-  }
-  std::vector<std::vector<int>> capacities_in(components.num_components);
-  for (int j = 0; j < instance.l(); ++j) {
-    capacities_in[components.component_of[instance.facility_nodes[j]]]
-        .push_back(instance.capacities[j]);
-  }
-  int64_t required = 0;
-  for (int g = 0; g < components.num_components; ++g) {
-    if (customers_in[g] == 0) continue;
-    auto& caps = capacities_in[g];
-    std::sort(caps.begin(), caps.end(), std::greater<int>());
-    int64_t remaining = customers_in[g];
-    for (const int c : caps) {
-      if (remaining <= 0) break;
-      remaining -= c;
-      ++required;
-    }
-    if (remaining > 0) return false;  // component cannot be covered
-  }
-  return required <= instance.k;
 }
 
 namespace {

@@ -68,7 +68,9 @@ ValidationResult ValidateSolution(const McfsInstance& instance,
 // for every connected component g, the customers in g must be coverable
 // by at most k_g facilities inside g, and sum_g k_g <= k, where k_g is
 // the minimum number of facilities (largest capacities first) whose
-// capacity sum reaches |S_g|.
+// capacity sum reaches |S_g|. Reads the graph's stored component
+// labeling and skips DiagnoseInstance's structural checks, with which it
+// shares the accounting (validate.cc).
 bool IsFeasible(const McfsInstance& instance);
 
 // Optimally assigns all customers to the given selected facilities

@@ -141,7 +141,7 @@ bool DirectConstruct(const McfsInstance& instance,
 
 bool CoverComponents(const McfsInstance& instance,
                      std::vector<int>& selected) {
-  const ComponentLabeling components = ConnectedComponents(*instance.graph);
+  const ComponentLabeling& components = instance.graph->components();
   const int l = instance.l();
   std::vector<uint8_t> is_selected(l, 0);
   for (const int j : selected) is_selected[j] = 1;

@@ -1,11 +1,69 @@
 #include "mcfs/core/validate.h"
 
 #include <algorithm>
-#include <functional>
 #include <sstream>
-#include <unordered_set>
+#include <utility>
 
 namespace mcfs {
+
+namespace {
+
+// The Theorem-3 accounting, shared by IsFeasible and DiagnoseInstance:
+// one entry per component holding customers, in component order, with
+// the component's capacities taken largest first against its demand.
+// Reads the graph's stored labeling, so the work is request-sized:
+// O(m + l log l + number of components).
+std::vector<ComponentDiagnosis> AccountComponents(
+    const McfsInstance& instance) {
+  const ComponentLabeling& components = instance.graph->components();
+  std::vector<int64_t> customers_in(components.num_components, 0);
+  for (const NodeId c : instance.customers) {
+    customers_in[components.component_of[c]]++;
+  }
+  // (component, capacity), grouped by component, largest capacity first.
+  std::vector<std::pair<int, int>> caps;
+  caps.reserve(instance.l());
+  for (int j = 0; j < instance.l(); ++j) {
+    caps.push_back({components.component_of[instance.facility_nodes[j]],
+                    instance.capacities[j]});
+  }
+  std::sort(caps.begin(), caps.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first < b.first : a.second > b.second;
+  });
+  std::vector<ComponentDiagnosis> accounts;
+  size_t next = 0;
+  for (int g = 0; g < components.num_components; ++g) {
+    const size_t begin = next;
+    while (next < caps.size() && caps[next].first == g) ++next;
+    if (customers_in[g] == 0) continue;
+    ComponentDiagnosis cd;
+    cd.component = g;
+    cd.customers = customers_in[g];
+    cd.num_facilities = static_cast<int>(next - begin);
+    int64_t remaining = cd.customers;
+    for (size_t f = begin; f < next; ++f) {
+      cd.capacity_sum += caps[f].second;
+      if (remaining > 0) {
+        remaining -= caps[f].second;
+        ++cd.min_facilities_needed;
+      }
+    }
+    if (remaining > 0) cd.min_facilities_needed = -1;
+    accounts.push_back(cd);
+  }
+  return accounts;
+}
+
+}  // namespace
+
+bool IsFeasible(const McfsInstance& instance) {
+  int64_t required = 0;
+  for (const ComponentDiagnosis& cd : AccountComponents(instance)) {
+    if (cd.min_facilities_needed < 0) return false;
+    required += cd.min_facilities_needed;
+  }
+  return required <= instance.k;
+}
 
 std::string ComponentDiagnosis::ToString() const {
   std::ostringstream out;
@@ -62,16 +120,18 @@ InstanceDiagnosis DiagnoseInstance(const McfsInstance& instance) {
                          std::to_string(num_nodes) + ")");
     }
   }
-  std::unordered_set<NodeId> seen_facility_nodes;
+  std::vector<bool> seen_facility_node(num_nodes, false);
   for (int j = 0; j < instance.l(); ++j) {
     const NodeId node = instance.facility_nodes[j];
     if (node < 0 || node >= num_nodes) {
       problems.push_back("facility " + std::to_string(j) + " at node " +
                          std::to_string(node) + " out of range [0, " +
                          std::to_string(num_nodes) + ")");
-    } else if (!seen_facility_nodes.insert(node).second) {
+    } else if (seen_facility_node[node]) {
       problems.push_back("duplicate facility node " + std::to_string(node) +
                          " (facility " + std::to_string(j) + ")");
+    } else {
+      seen_facility_node[node] = true;
     }
     if (j < static_cast<int>(instance.capacities.size()) &&
         instance.capacities[j] < 0) {
@@ -88,37 +148,10 @@ InstanceDiagnosis DiagnoseInstance(const McfsInstance& instance) {
   }
   for (const int c : instance.capacities) diagnosis.total_capacity += c;
 
-  // --- Feasibility (kInfeasible): the Theorem-3 accounting from
-  // IsFeasible, kept in lockstep with it, but retaining the per-component
-  // evidence instead of a bare bool.
-  const ComponentLabeling components = ConnectedComponents(*instance.graph);
-  std::vector<int64_t> customers_in(components.num_components, 0);
-  for (const NodeId c : instance.customers) {
-    customers_in[components.component_of[c]]++;
-  }
-  std::vector<std::vector<int>> capacities_in(components.num_components);
-  for (int j = 0; j < instance.l(); ++j) {
-    capacities_in[components.component_of[instance.facility_nodes[j]]]
-        .push_back(instance.capacities[j]);
-  }
-  for (int g = 0; g < components.num_components; ++g) {
-    if (customers_in[g] == 0) continue;
-    std::vector<int>& caps = capacities_in[g];
-    std::sort(caps.begin(), caps.end(), std::greater<int>());
-    ComponentDiagnosis cd;
-    cd.component = g;
-    cd.customers = customers_in[g];
-    cd.num_facilities = static_cast<int>(caps.size());
-    int64_t remaining = cd.customers;
-    for (const int c : caps) {
-      cd.capacity_sum += c;
-      if (remaining > 0) {
-        remaining -= c;
-        ++cd.min_facilities_needed;
-      }
-    }
-    if (remaining > 0) {
-      cd.min_facilities_needed = -1;
+  // --- Feasibility (kInfeasible): IsFeasible's Theorem-3 accounting,
+  // keeping the per-component evidence instead of a bare bool.
+  for (const ComponentDiagnosis& cd : AccountComponents(instance)) {
+    if (cd.min_facilities_needed < 0) {
       diagnosis.infeasible_components.push_back(cd);
     } else {
       diagnosis.required_facilities += cd.min_facilities_needed;

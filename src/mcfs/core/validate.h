@@ -17,7 +17,7 @@ namespace mcfs {
 
 // Why one connected component cannot be served (Theorem 3 accounting).
 struct ComponentDiagnosis {
-  int component = 0;           // component id from ConnectedComponents
+  int component = 0;           // id in Graph::components()
   int64_t customers = 0;       // demand |S_g| inside the component
   int64_t capacity_sum = 0;    // total capacity of facilities inside it
   int num_facilities = 0;      // candidate facilities inside it

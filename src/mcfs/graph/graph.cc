@@ -5,6 +5,37 @@
 
 namespace mcfs {
 
+namespace {
+
+ComponentLabeling ConnectedComponents(const Graph& graph) {
+  ComponentLabeling result;
+  const int n = graph.NumNodes();
+  result.component_of.assign(n, -1);
+  std::vector<NodeId> stack;
+  for (NodeId start = 0; start < n; ++start) {
+    if (result.component_of[start] != -1) continue;
+    const int comp = result.num_components++;
+    int size = 0;
+    stack.push_back(start);
+    result.component_of[start] = comp;
+    while (!stack.empty()) {
+      const NodeId v = stack.back();
+      stack.pop_back();
+      ++size;
+      for (const AdjEntry& e : graph.Neighbors(v)) {
+        if (result.component_of[e.to] == -1) {
+          result.component_of[e.to] = comp;
+          stack.push_back(e.to);
+        }
+      }
+    }
+    result.component_size.push_back(size);
+  }
+  return result;
+}
+
+}  // namespace
+
 double Graph::AverageDegree() const {
   if (NumNodes() == 0) return 0.0;
   return static_cast<double>(NumArcs()) / NumNodes();
@@ -39,34 +70,8 @@ Graph GraphBuilder::Build() const {
     graph.adj_[cursor[arc.from]++] = {arc.to, arc.weight};
   }
   graph.coords_ = coords_;
+  graph.components_ = ConnectedComponents(graph);
   return graph;
-}
-
-ComponentLabeling ConnectedComponents(const Graph& graph) {
-  ComponentLabeling result;
-  const int n = graph.NumNodes();
-  result.component_of.assign(n, -1);
-  std::vector<NodeId> stack;
-  for (NodeId start = 0; start < n; ++start) {
-    if (result.component_of[start] != -1) continue;
-    const int comp = result.num_components++;
-    int size = 0;
-    stack.push_back(start);
-    result.component_of[start] = comp;
-    while (!stack.empty()) {
-      const NodeId v = stack.back();
-      stack.pop_back();
-      ++size;
-      for (const AdjEntry& e : graph.Neighbors(v)) {
-        if (result.component_of[e.to] == -1) {
-          result.component_of[e.to] = comp;
-          stack.push_back(e.to);
-        }
-      }
-    }
-    result.component_size.push_back(size);
-  }
-  return result;
 }
 
 double EuclideanDistance(const Point& a, const Point& b) {

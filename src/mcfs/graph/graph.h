@@ -29,12 +29,24 @@ struct Point {
   double y = 0.0;
 };
 
+// Each node's connected-component id in [0, num_components). The graph
+// is treated as undirected (which our graphs are).
+struct ComponentLabeling {
+  std::vector<int> component_of;  // size NumNodes()
+  int num_components = 0;
+  std::vector<int> component_size;  // size num_components
+};
+
 // Immutable weighted network in CSR (compressed sparse row) layout.
 // Models a road network: nodes are intersections / road vertices, edges
 // are road segments with positive lengths. Built via GraphBuilder.
 //
 // The paper's networks are undirected; GraphBuilder::AddEdge inserts both
 // arcs. Directed edges are supported via AddArc.
+//
+// Build() also labels the connected components once, so the Theorem-3
+// feasibility accounting and the component repair never rescan the
+// network. A default-constructed Graph has 0 nodes and 0 components.
 class Graph {
  public:
   Graph() = default;
@@ -60,6 +72,8 @@ class Graph {
   }
   const std::vector<Point>& coordinates() const { return coords_; }
 
+  const ComponentLabeling& components() const { return components_; }
+
   // Structural statistics used by the dataset tables (Table III).
   double AverageDegree() const;
   int MaxDegree() const;
@@ -68,9 +82,10 @@ class Graph {
  private:
   friend class GraphBuilder;
 
-  std::vector<int64_t> offsets_;  // size NumNodes() + 1
+  std::vector<int64_t> offsets_ = {0};  // size NumNodes() + 1
   std::vector<AdjEntry> adj_;
   std::vector<Point> coords_;  // empty if no coordinates attached
+  ComponentLabeling components_;
 };
 
 // Accumulates edges and produces a CSR Graph.
@@ -122,16 +137,6 @@ class GraphBuilder {
   std::vector<Arc> arcs_;
   std::vector<Point> coords_;
 };
-
-// Labels each node with a connected-component id in [0, num_components).
-// The graph is treated as undirected (which our graphs are).
-struct ComponentLabeling {
-  std::vector<int> component_of;  // size NumNodes()
-  int num_components = 0;
-  std::vector<int> component_size;  // size num_components
-};
-
-ComponentLabeling ConnectedComponents(const Graph& graph);
 
 // Euclidean distance between two points.
 double EuclideanDistance(const Point& a, const Point& b);

@@ -206,7 +206,8 @@ std::string HistogramJson(const HistogramSnapshot& snapshot) {
     if (snapshot.buckets[i] == 0) continue;
     if (!first) json += ", ";
     first = false;
-    json += "[" + JsonNumber(bounds[i]) + ", " +
+    json += '[';
+    json += JsonNumber(bounds[i]) + ", " +
             std::to_string(snapshot.buckets[i]) + ", " +
             std::to_string(snapshot.exemplars[i]) + "]";
   }

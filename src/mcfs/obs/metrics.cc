@@ -192,14 +192,16 @@ std::string MetricsJson(const MetricsSnapshot& snapshot) {
   for (const auto& [name, value] : snapshot.counters) {
     if (!first) json += ", ";
     first = false;
-    json += "\"" + JsonEscape(name) + "\": " + std::to_string(value);
+    json += '"';
+    json += JsonEscape(name) + "\": " + std::to_string(value);
   }
   json += "}, \"distributions\": {";
   first = true;
   for (const auto& [name, dist] : snapshot.distributions) {
     if (!first) json += ", ";
     first = false;
-    json += "\"" + JsonEscape(name) + "\": {\"count\": " +
+    json += '"';
+    json += JsonEscape(name) + "\": {\"count\": " +
             std::to_string(dist.count) + ", \"sum\": " + JsonNumber(dist.sum) +
             ", \"min\": " + JsonNumber(dist.min) +
             ", \"max\": " + JsonNumber(dist.max) + "}";
@@ -209,7 +211,8 @@ std::string MetricsJson(const MetricsSnapshot& snapshot) {
   for (const auto& [name, hist] : snapshot.histograms) {
     if (!first) json += ", ";
     first = false;
-    json += "\"" + JsonEscape(name) + "\": " + HistogramJson(hist);
+    json += '"';
+    json += JsonEscape(name) + "\": " + HistogramJson(hist);
   }
   json += "}}";
   return json;

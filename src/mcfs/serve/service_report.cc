@@ -83,9 +83,10 @@ std::string ServiceReport::Json() const {
       requests_completed == 0
           ? 0.0
           : preprocess_seconds_total / static_cast<double>(requests_completed);
-  // One warm-state build does the same component scan a cold
-  // ValidateInstance pays per solve, so build_seconds / builds is the
-  // per-request preprocessing cost the service amortizes away.
+  // One warm-state build is the per-epoch node -> candidate map and the
+  // nearest-facility multi-source Dijkstra, which a request would
+  // otherwise pay itself, so build_seconds / builds is the per-request
+  // preprocessing cost the service amortizes away.
   const double cold_estimate =
       epochs_built == 0 ? 0.0
                         : warm_build_seconds / static_cast<double>(epochs_built);

@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cmath>
 #include <fstream>
-#include <functional>
 #include <limits>
 #include <sstream>
 #include <tuple>
@@ -214,6 +213,8 @@ SolverService::SolverService(const Graph* graph,
     }
     slos_.push_back(std::move(row));
   }
+  resolve_.stream_dirty.assign(graph_->components().num_components, 0);
+  resolve_.match_dirty.assign(graph_->components().num_components, 0);
   PublishWarmState(
       BuildWarmState(1, std::move(facility_nodes), std::move(capacities)));
   dispatcher_ = std::thread([this] { DispatcherLoop(); });
@@ -245,18 +246,6 @@ std::shared_ptr<const SolverService::WarmState> SolverService::BuildWarmState(
     state->facility_index_of_node[node] = static_cast<int>(j);
     MCFS_CHECK_GE(state->capacities[j], 0)
         << "catalog facility " << j << " has negative capacity";
-  }
-  // The O(V + E) component scan every cold ValidateInstance pays, done
-  // once per epoch, plus the per-component descending capacity lists
-  // the Theorem-3 accounting consumes.
-  state->components = ConnectedComponents(*graph_);
-  state->component_caps_sorted.assign(state->components.num_components, {});
-  for (size_t j = 0; j < state->facility_nodes.size(); ++j) {
-    const int g = state->components.component_of[state->facility_nodes[j]];
-    state->component_caps_sorted[g].push_back(state->capacities[j]);
-  }
-  for (std::vector<int>& caps : state->component_caps_sorted) {
-    std::sort(caps.begin(), caps.end(), std::greater<int>());
   }
   // Nearest catalog facility per node (DESIGN.md §4.14): one
   // multi-source Dijkstra per epoch buys the instant responder its
@@ -453,12 +442,7 @@ UpdateResult SolverService::CommitLocked(const WarmState& warm,
   // the matching, so the resumed one may no longer be optimal (matches
   // dirty). Removals and decreases only shed state, which the resume
   // filters in place. Bits accumulate until a resolve exports a seed.
-  const size_t num_components =
-      static_cast<size_t>(warm.components.num_components);
-  if (resolve_.stream_dirty.size() < num_components) {
-    resolve_.stream_dirty.resize(num_components, 0);
-    resolve_.match_dirty.resize(num_components, 0);
-  }
+  const std::vector<int>& component_of = graph_->components().component_of;
   const auto mark = [&out](std::vector<uint8_t>& bits, int g) {
     if (bits[g] == 0) {
       bits[g] = 1;
@@ -467,7 +451,7 @@ UpdateResult SolverService::CommitLocked(const WarmState& warm,
   };
   for (size_t j = 0; j < facility_nodes.size(); ++j) {
     const int old_index = warm.facility_index_of_node[facility_nodes[j]];
-    const int g = warm.components.component_of[facility_nodes[j]];
+    const int g = component_of[facility_nodes[j]];
     if (old_index < 0) {
       mark(resolve_.stream_dirty, g);
       mark(resolve_.match_dirty, g);
@@ -532,7 +516,7 @@ SolveResponse SolverService::ResolveTracked(int k, int64_t deadline_ms,
 
   McfsInstance instance;
   BuildInstance(*warm, tracked_customers_, k, {}, &instance);
-  if (SettledBeforeSolve(*warm, instance, {}, &response)) {
+  if (SettledBeforeSolve(instance, &response)) {
     if (response.status.ok()) {
       resolve_.seed.reset();  // m() == 0: nothing to resume from next time
     } else if (response.status.code() == StatusCode::kInfeasible) {
@@ -562,16 +546,11 @@ SolveResponse SolverService::ResolveTracked(int k, int64_t deadline_ms,
         resolve_.seed->trajectory.customers;
     wma.warm_stream_invalid.assign(seeded.size(), 0);
     wma.warm_match_invalid.assign(seeded.size(), 0);
+    const std::vector<int>& component_of = graph_->components().component_of;
     for (size_t s = 0; s < seeded.size(); ++s) {
-      const int g = warm->components.component_of[seeded[s].node];
-      if (g < static_cast<int>(resolve_.stream_dirty.size()) &&
-          resolve_.stream_dirty[g] != 0) {
-        wma.warm_stream_invalid[s] = 1;
-      }
-      if (g < static_cast<int>(resolve_.match_dirty.size()) &&
-          resolve_.match_dirty[g] != 0) {
-        wma.warm_match_invalid[s] = 1;
-      }
+      const int g = component_of[seeded[s].node];
+      wma.warm_stream_invalid[s] = resolve_.stream_dirty[g];
+      wma.warm_match_invalid[s] = resolve_.match_dirty[g];
     }
   }
 
@@ -951,62 +930,6 @@ void SolverService::DispatcherLoop() {
   }
 }
 
-bool SolverService::WarmValidate(const WarmState& warm,
-                                 const McfsInstance& instance,
-                                 const std::vector<int>& subset) const {
-  // Mirror of DiagnoseInstance's verdict against the cached epoch
-  // preprocessing, request-sized work only: O(m + |subset| log + C)
-  // instead of the cold O(V + E) component scan. Kept in lockstep with
-  // core/validate.cc — any defect found here is re-derived on the cold
-  // path so the Status message stays byte-identical.
-  if (instance.k < 0) return false;
-  const int num_nodes = graph_->NumNodes();
-  for (const NodeId c : instance.customers) {
-    if (c < 0 || c >= num_nodes) return false;
-  }
-  // Catalog nodes are distinct and in range by construction; a subset
-  // only introduces defects by repeating an index (duplicate node).
-  if (!subset.empty()) {
-    std::vector<int> seen;
-    seen.reserve(subset.size());
-    for (const int idx : subset) {
-      if (std::find(seen.begin(), seen.end(), idx) != seen.end()) return false;
-      seen.push_back(idx);
-    }
-  }
-  // Theorem-3 accounting per component holding customers.
-  const ComponentLabeling& components = warm.components;
-  std::vector<int64_t> customers_in(components.num_components, 0);
-  for (const NodeId c : instance.customers) {
-    customers_in[components.component_of[c]]++;
-  }
-  std::vector<std::vector<int>> subset_caps;
-  if (!subset.empty()) {
-    subset_caps.assign(components.num_components, {});
-    for (const int idx : subset) {
-      const int g = components.component_of[warm.facility_nodes[idx]];
-      subset_caps[g].push_back(warm.capacities[idx]);
-    }
-    for (std::vector<int>& caps : subset_caps) {
-      std::sort(caps.begin(), caps.end(), std::greater<int>());
-    }
-  }
-  int64_t required_facilities = 0;
-  for (int g = 0; g < components.num_components; ++g) {
-    if (customers_in[g] == 0) continue;
-    const std::vector<int>& caps =
-        subset.empty() ? warm.component_caps_sorted[g] : subset_caps[g];
-    int64_t remaining = customers_in[g];
-    for (const int c : caps) {
-      if (remaining <= 0) break;
-      remaining -= c;
-      ++required_facilities;
-    }
-    if (remaining > 0) return false;
-  }
-  return required_facilities <= instance.k;
-}
-
 int64_t SolverService::DeadlineMs(const SolveRequest& request) const {
   return request.deadline_ms > 0 ? request.deadline_ms
                                  : options_.default_deadline_ms;
@@ -1043,16 +966,10 @@ Status SolverService::BuildInstance(const WarmState& warm,
   return OkStatus();
 }
 
-bool SolverService::SettledBeforeSolve(const WarmState& warm,
-                                       const McfsInstance& instance,
-                                       const std::vector<int>& subset,
-                                       SolveResponse* response) const {
+bool SolverService::SettledBeforeSolve(const McfsInstance& instance,
+                                       SolveResponse* response) {
   WallTimer preprocess_timer;
-  if (!WarmValidate(warm, instance, subset)) {
-    response->status = ValidateInstance(instance);
-    MCFS_CHECK(!response->status.ok())
-        << "warm validation rejected an instance the cold path accepts";
-  }
+  response->status = ValidateInstance(instance);
   response->preprocess_seconds = preprocess_timer.Seconds();
   if (!response->status.ok()) return true;
   if (instance.m() == 0) {
@@ -1147,8 +1064,7 @@ void SolverService::Execute(PendingRequest& pending) {
     }
   }
 
-  if (SettledBeforeSolve(*warm, instance, request.facility_subset,
-                         &response)) {
+  if (SettledBeforeSolve(instance, &response)) {
     FinishRequest(pending, std::move(response));
     return;
   }
@@ -1342,7 +1258,7 @@ bool SolverService::FastServe(PendingRequest& pending) {
 
   // A rejection here is definitive: the full path would reject with the
   // same canonical status — no point burning a queue slot to find out.
-  if (SettledBeforeSolve(*warm, instance, {}, &response)) {
+  if (SettledBeforeSolve(instance, &response)) {
     FinishRequest(pending, std::move(response));
     return true;
   }

@@ -26,14 +26,15 @@ namespace mcfs {
 
 // Long-lived warm-state solver service (DESIGN.md §4.9). Loads one road
 // network and one candidate-facility catalog, builds the shared
-// read-only preprocessing a single time (connected components with
-// per-component capacity accounting, the node -> candidate map), and
-// then admits many solve requests — each with its own customers, k,
-// optional candidate subset, and per-request deadline/cancellation —
-// through a bounded admission queue. A dispatcher thread drains the
-// queue in batches and executes each batch as one ParallelFor on the
-// shared ThreadPool, so concurrent requests respect one process-wide
-// concurrency limit instead of stacking private pools.
+// read-only state once per catalog epoch (the node -> candidate map and
+// each node's nearest catalog facility; the component labeling lives on
+// the Graph), and then admits many solve requests — each with its own
+// customers, k, optional candidate subset, and per-request
+// deadline/cancellation — through a bounded admission queue. A
+// dispatcher thread drains the queue in batches and executes each batch
+// as one ParallelFor on the shared ThreadPool, so concurrent requests
+// respect one process-wide concurrency limit instead of stacking
+// private pools.
 //
 // Contract: a response is bit-identical to calling SolveWma directly on
 // the instance the request describes (same graph, catalog slice,
@@ -245,7 +246,7 @@ struct SolveResponse {
   bool warm_attempted = false;
   bool warm_served = false;
   double queue_seconds = 0.0;       // admission -> execution start
-  double preprocess_seconds = 0.0;  // warm validation + instance view
+  double preprocess_seconds = 0.0;  // ValidateInstance, SolveWma's preflight
   double solve_seconds = 0.0;       // SolveWma proper
   // The trace id this request was served under (assigned at admission
   // when the request carried none) — the join key into trace spans,
@@ -481,13 +482,9 @@ class SolverService {
     uint64_t epoch = 0;
     std::vector<NodeId> facility_nodes;
     std::vector<int> capacities;
-    // node -> catalog index (or -1); the map every matcher build scans
-    // the whole node array for, computed once here.
+    // node -> catalog index (or -1): ApplyUpdate's node-keyed catalog
+    // lookups and diff. Each IncrementalMatcher builds its own map.
     std::vector<int> facility_index_of_node;
-    ComponentLabeling components;
-    // Catalog capacities per component, sorted descending — the
-    // Theorem-3 accounting input, precomputed for full-catalog requests.
-    std::vector<std::vector<int>> component_caps_sorted;
     // Nearest catalog facility per node (one multi-source Dijkstra per
     // epoch; DESIGN.md §4.14): the instant responder's selection signal
     // and the quality-bound denominator for full-catalog requests.
@@ -570,12 +567,11 @@ class SolverService {
   static CacheKey MakeCacheKey(const SolveRequest& request) {
     return CacheKey{request.customers, request.k, request.facility_subset};
   }
-  // Warm validation (a rejection is re-derived on the cold path so the
-  // Status is byte-identical to SolveWma's), then SolveWma's m() == 0
-  // shortcut. True when either one settled `response` without a solve.
-  bool SettledBeforeSolve(const WarmState& warm, const McfsInstance& instance,
-                          const std::vector<int>& subset,
-                          SolveResponse* response) const;
+  // SolveWma's own preflight (ValidateInstance, timed as
+  // preprocess_seconds), then its m() == 0 shortcut. True when either
+  // one settled `response` without a solve.
+  static bool SettledBeforeSolve(const McfsInstance& instance,
+                                 SolveResponse* response);
   // Caller holds cache_mutex_. Fills `response` on a hit under `epoch`.
   bool FillFromCacheLocked(const CacheKey& key, uint64_t epoch,
                            SolveResponse* response) const;
@@ -621,12 +617,6 @@ class SolverService {
   // postmortem. `reason` must outlive the call (string literal).
   void RecordPostmortem(const char* reason, uint64_t trace_id,
                         uint64_t epoch_at);
-  // Warm-path replica of ValidateInstance's verdict (structural checks
-  // + Theorem-3 accounting against the cached components). Returns true
-  // when SolveWma would accept; on false the caller re-derives the
-  // canonical Status on the cold path.
-  bool WarmValidate(const WarmState& warm, const McfsInstance& instance,
-                    const std::vector<int>& subset) const;
 
   // Warm-resolve state (DESIGN.md §4.10): the previous ResolveTracked's
   // exported seed plus per-component dirty bits accumulated by updates
@@ -634,7 +624,8 @@ class SolverService {
   struct ResolveState {
     std::shared_ptr<const WmaWarmSeed> seed;
     int seed_k = 0;
-    std::vector<uint8_t> stream_dirty;  // per graph component
+    // Indexed by graph_->components(); sized once at construction.
+    std::vector<uint8_t> stream_dirty;
     std::vector<uint8_t> match_dirty;
   };
 

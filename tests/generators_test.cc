@@ -118,7 +118,7 @@ TEST(RoadNetworkTest, PresetsMatchTableIIIStatistics) {
 
 TEST(RoadNetworkTest, OrganicCityIsLargelyConnected) {
   const Graph city = GenerateCity(CopenhagenPreset(0.02));
-  const ComponentLabeling labeling = ConnectedComponents(city);
+  const ComponentLabeling& labeling = city.components();
   int largest = 0;
   for (const int s : labeling.component_size) largest = std::max(largest, s);
   EXPECT_GT(largest, city.NumNodes() * 9 / 10);

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
+#include "mcfs/core/validate.h"
 #include "tests/test_util.h"
 
 namespace mcfs {
@@ -52,10 +54,23 @@ TEST(GraphTest, CoordinatesRoundTrip) {
   EXPECT_DOUBLE_EQ(graph.coordinate(1).y, 4.0);
 }
 
+TEST(GraphTest, DefaultConstructedGraphIsEmpty) {
+  const Graph graph;
+  EXPECT_EQ(graph.NumNodes(), 0);
+  EXPECT_EQ(graph.NumArcs(), 0);
+  EXPECT_EQ(graph.components().num_components, 0);
+  EXPECT_TRUE(graph.components().component_of.empty());
+  EXPECT_TRUE(graph.components().component_size.empty());
+  McfsInstance instance;
+  instance.graph = &graph;
+  EXPECT_TRUE(ValidateInstance(instance).ok());
+  EXPECT_TRUE(IsFeasible(instance));
+}
+
 TEST(ConnectedComponentsTest, SingleComponent) {
   Rng rng(3);
   const Graph graph = testing_util::RandomGraph(30, 10, rng);
-  const ComponentLabeling labeling = ConnectedComponents(graph);
+  const ComponentLabeling& labeling = graph.components();
   EXPECT_EQ(labeling.num_components, 1);
   EXPECT_EQ(labeling.component_size[0], 30);
 }
@@ -67,7 +82,7 @@ TEST(ConnectedComponentsTest, CountsAndSizes) {
   builder.AddEdge(3, 4, 1.0);
   // node 5 isolated
   const Graph graph = builder.Build();
-  const ComponentLabeling labeling = ConnectedComponents(graph);
+  const ComponentLabeling& labeling = graph.components();
   EXPECT_EQ(labeling.num_components, 3);
   EXPECT_EQ(labeling.component_of[0], labeling.component_of[1]);
   EXPECT_EQ(labeling.component_of[2], labeling.component_of[4]);
@@ -77,20 +92,38 @@ TEST(ConnectedComponentsTest, CountsAndSizes) {
   EXPECT_EQ(sizes, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(ConnectedComponentsTest, PartitionIsConsistentWithLabels) {
-  Rng rng(11);
-  const Graph graph = testing_util::RandomDisconnectedGraph(50, 4, rng);
-  const ComponentLabeling labeling = ConnectedComponents(graph);
-  // Every edge joins same-component endpoints.
+// Every edge joins same-component endpoints, and the sizes add up.
+void ExpectPartitionConsistent(const Graph& graph) {
+  const ComponentLabeling& labeling = graph.components();
+  ASSERT_EQ(static_cast<int>(labeling.component_of.size()), graph.NumNodes());
+  ASSERT_EQ(static_cast<int>(labeling.component_size.size()),
+            labeling.num_components);
   for (NodeId v = 0; v < graph.NumNodes(); ++v) {
     for (const AdjEntry& e : graph.Neighbors(v)) {
       EXPECT_EQ(labeling.component_of[v], labeling.component_of[e.to]);
     }
   }
-  // Sizes add up.
   int total = 0;
   for (const int s : labeling.component_size) total += s;
   EXPECT_EQ(total, graph.NumNodes());
+}
+
+TEST(ConnectedComponentsTest, PartitionIsConsistentWithLabels) {
+  Rng rng(11);
+  const Graph graph = testing_util::RandomDisconnectedGraph(50, 4, rng);
+  ExpectPartitionConsistent(graph);
+  EXPECT_GT(graph.components().num_components, 1);
+  // A copied and a moved Graph keep the labeling Build() stored.
+  const Graph copy = graph;
+  ExpectPartitionConsistent(copy);
+  EXPECT_EQ(copy.components().component_of, graph.components().component_of);
+  Graph source = graph;
+  const Graph moved = std::move(source);
+  ExpectPartitionConsistent(moved);
+  EXPECT_EQ(moved.components().component_of,
+            graph.components().component_of);
+  EXPECT_EQ(moved.components().component_size,
+            graph.components().component_size);
 }
 
 TEST(EuclideanDistanceTest, Pythagoras) {

@@ -238,7 +238,7 @@ TEST_P(CoverComponentsSweepTest, FeasibleInstancesGetCovered) {
   ASSERT_TRUE(CoverComponents(ri.instance, selected));
   EXPECT_EQ(static_cast<int>(selected.size()), ri.instance.k);
   // Verify per-component capacity coverage.
-  const ComponentLabeling labeling = ConnectedComponents(ri.graph);
+  const ComponentLabeling& labeling = ri.graph.components();
   std::vector<int64_t> surplus(labeling.num_components, 0);
   for (const NodeId c : ri.instance.customers) {
     surplus[labeling.component_of[c]]--;

@@ -19,6 +19,7 @@
 #include "mcfs/common/deadline.h"
 #include "mcfs/common/fault_plan.h"
 #include "mcfs/common/timer.h"
+#include "mcfs/core/validate.h"
 #include "mcfs/core/verifier.h"
 #include "mcfs/core/wma.h"
 #include "mcfs/obs/flight_recorder.h"
@@ -34,9 +35,9 @@ namespace {
 struct ServeFixture {
   testing_util::RandomInstance ri;
 
-  explicit ServeFixture(uint64_t seed) {
+  explicit ServeFixture(uint64_t seed, int parts = 1) {
     Rng rng(seed);
-    ri = testing_util::MakeRandomInstance(200, 60, 30, 12, 15, rng);
+    ri = testing_util::MakeRandomInstance(200, 60, 30, 12, 15, rng, parts);
     // The assignment moved the graph into this fixture; re-point the
     // instance at the moved-to object.
     ri.instance.graph = &ri.graph;
@@ -141,14 +142,77 @@ TEST(ServeTest, ErrorStatusesMatchDirectSolveByteForByte) {
   // Infeasible: one facility cannot hold 60 customers.
   bad.push_back({fx.catalog().customers, 1, {0}, 0, nullptr});
 
+  // Returns the direct status so a case can check which rule fired.
+  const auto expect_same_error = [](const ServeFixture& f,
+                                    SolverService& svc,
+                                    const SolveRequest& request) {
+    const SolveResponse response = svc.SolveSync(request);
+    const StatusOr<WmaResult> direct = SolveWma(f.RequestInstance(request));
+    EXPECT_FALSE(direct.ok());
+    EXPECT_FALSE(response.status.ok());
+    EXPECT_EQ(response.status.code(), direct.status().code());
+    EXPECT_EQ(response.status.message(), direct.status().message());
+    return direct.status();
+  };
   for (size_t r = 0; r < bad.size(); ++r) {
-    const SolveResponse response = service->SolveSync(bad[r]);
-    const StatusOr<WmaResult> direct = SolveWma(fx.RequestInstance(bad[r]));
-    ASSERT_FALSE(direct.ok()) << "request " << r;
-    EXPECT_FALSE(response.status.ok()) << "request " << r;
-    EXPECT_EQ(response.status.code(), direct.status().code()) << r;
-    EXPECT_EQ(response.status.message(), direct.status().message()) << r;
+    SCOPED_TRACE("request " + std::to_string(r));
+    expect_same_error(fx, *service, bad[r]);
   }
+
+  // A four-part network whose last part holds no catalog facility.
+  ServeFixture split(12, /*parts=*/4);
+  const std::vector<int>& component_of =
+      split.ri.graph.components().component_of;
+  const int bare = component_of[199];
+  McfsInstance& catalog = split.ri.instance;
+  std::vector<NodeId> kept_nodes;
+  std::vector<int> kept_caps;
+  for (int j = 0; j < catalog.l(); ++j) {
+    if (component_of[catalog.facility_nodes[j]] == bare) continue;
+    kept_nodes.push_back(catalog.facility_nodes[j]);
+    kept_caps.push_back(catalog.capacities[j]);
+  }
+  catalog.facility_nodes = kept_nodes;
+  catalog.capacities = kept_caps;
+  std::vector<NodeId> covered;  // customers outside the bare part
+  for (const NodeId c : catalog.customers) {
+    if (component_of[c] != bare) covered.push_back(c);
+  }
+  McfsInstance roomy = catalog;
+  roomy.customers = covered;
+  roomy.k = roomy.l();
+  const InstanceDiagnosis diagnosis = DiagnoseInstance(roomy);
+  ASSERT_TRUE(diagnosis.ok()) << diagnosis.ToString();
+  ASSERT_GE(diagnosis.required_facilities, 2);
+  auto split_service = split.MakeService();
+
+  // Customers in a component with no catalog facility.
+  std::vector<NodeId> with_bare = covered;
+  with_bare.push_back(199);
+  EXPECT_NE(expect_same_error(split, *split_service,
+                              {with_bare, catalog.l(), {}, 0, nullptr})
+                .message()
+                .find("lack capacity"),
+            std::string::npos);
+  // A subset that leaves the first customer's component uncovered.
+  std::vector<int> subset;
+  for (int j = 0; j < catalog.l(); ++j) {
+    if (component_of[catalog.facility_nodes[j]] != component_of[covered[0]]) {
+      subset.push_back(j);
+    }
+  }
+  EXPECT_NE(expect_same_error(split, *split_service,
+                              {covered, catalog.l(), subset, 0, nullptr})
+                .message()
+                .find("lack capacity"),
+            std::string::npos);
+  // Every component coverable, but k below the per-component minimum sum.
+  EXPECT_NE(expect_same_error(
+                split, *split_service,
+                {covered, diagnosis.required_facilities - 1, {}, 0, nullptr})
+                .message()
+                .find("covering every component needs at least"),
+            std::string::npos);
 }
 
 TEST(ServeTest, SubsetIndexOutOfRangeIsServiceLevelInvalidInput) {

@@ -71,6 +71,19 @@ TEST(ValidateTest, DuplicateFacilityNodesAreInvalid) {
   EXPECT_EQ(diagnosis.status.code(), StatusCode::kInvalidInput);
   ASSERT_EQ(diagnosis.problems.size(), 1u);
   EXPECT_NE(diagnosis.problems[0].find("duplicate"), std::string::npos);
+
+  // A node listed three times reports each repeat, in facility order,
+  // after a distinct node in between.
+  instance.facility_nodes = {5, 4, 5, 5};
+  instance.capacities = {1, 1, 1, 1};
+  const InstanceDiagnosis triple = DiagnoseInstance(instance);
+  EXPECT_EQ(triple.status.code(), StatusCode::kInvalidInput);
+  ASSERT_EQ(triple.problems.size(), 2u);
+  EXPECT_EQ(triple.problems[0], "duplicate facility node 5 (facility 2)");
+  EXPECT_EQ(triple.problems[1], "duplicate facility node 5 (facility 3)");
+  EXPECT_EQ(triple.status.message(),
+            "2 structural problem(s); first: duplicate facility node 5 "
+            "(facility 2)");
 }
 
 TEST(ValidateTest, NegativeCapacityAndMismatchedSizesReportAllProblems) {
