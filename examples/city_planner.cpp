@@ -13,6 +13,7 @@
 // Algorithms: wma | uf | naive | hilbert | brnn | kmedian | exact
 //
 // Bad input (an unknown city or algorithm, a --scale outside (0, 1], a
+// --load file ReadGraph rejects, a --save path that cannot be written, a
 // route endpoint outside the network, m outside [1, n], an invalid or
 // infeasible instance) prints a message and exits 2, as a malformed flag
 // value does.
@@ -28,6 +29,7 @@
 #include "mcfs/common/timer.h"
 #include "mcfs/baselines/greedy_kmedian.h"
 #include "mcfs/core/validate.h"
+#include "mcfs/core/verifier.h"
 #include "mcfs/core/wma.h"
 #include "mcfs/exact/bb_solver.h"
 #include "mcfs/graph/contraction_hierarchy.h"
@@ -77,12 +79,12 @@ int main(int argc, char** argv) {
   Graph city;
   const std::string load_path = flags.GetString("load", "");
   if (!load_path.empty()) {
-    std::optional<Graph> loaded = LoadGraph(load_path);
-    if (!loaded.has_value()) {
-      std::fprintf(stderr, "could not load %s\n", load_path.c_str());
-      return 1;
+    StatusOr<Graph> loaded = ReadGraph(load_path);
+    if (!loaded.ok()) {
+      BadInput("cannot load " + load_path + ": " +
+               loaded.status().ToString());
     }
-    city = std::move(*loaded);
+    city = std::move(loaded).value();
     std::printf("loaded %s: %d nodes, %lld edges\n", load_path.c_str(),
                 city.NumNodes(), static_cast<long long>(city.NumEdges()));
   } else {
@@ -105,7 +107,9 @@ int main(int argc, char** argv) {
                 city.AverageDegree());
   }
   const std::string save_path = flags.GetString("save", "");
-  if (!save_path.empty() && SaveGraph(city, save_path)) {
+  if (!save_path.empty()) {
+    const Status saved = WriteGraph(city, save_path);
+    if (!saved.ok()) BadInput("cannot save: " + saved.ToString());
     std::printf("saved network to %s\n", save_path.c_str());
   }
 
@@ -179,13 +183,12 @@ int main(int argc, char** argv) {
   }
   const double seconds = timer.Seconds();
 
-  const ValidationResult validation =
-      ValidateSolution(instance, solution, /*check_distances=*/false);
+  const VerifyReport verified = VerifySolution(instance, solution);
   std::printf("%s: objective %.0f m, %zu facilities, %s, %s, %.2f s\n",
               algorithm.c_str(), solution.objective,
               solution.selected.size(),
               solution.feasible ? "feasible" : "infeasible",
-              validation.ok ? "valid" : validation.message.c_str(),
+              verified.ok ? "verified" : verified.failures.front().c_str(),
               seconds);
   return 0;
 }

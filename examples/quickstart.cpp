@@ -6,6 +6,7 @@
 
 #include <cstdio>
 
+#include "mcfs/core/verifier.h"
 #include "mcfs/core/wma.h"
 #include "mcfs/exact/bb_solver.h"
 #include "mcfs/graph/generators.h"
@@ -56,12 +57,11 @@ int main() {
               result.stats.total_seconds * 1e3, result.stats.iterations,
               result.solution.feasible ? "yes" : "no");
 
-  // 4. Validate the solution structurally and against true network
+  // 4. Verify the solution structurally and against true network
   //    distances.
-  const ValidationResult validation =
-      ValidateSolution(instance, result.solution, /*check_distances=*/true);
+  const VerifyReport verified = VerifySolution(instance, result.solution);
   std::printf("validation: %s\n",
-              validation.ok ? "ok" : validation.message.c_str());
+              verified.ok ? "ok" : verified.failures.front().c_str());
 
   // 5. Compare with the exact reference on this (still small) instance.
   ExactOptions exact_options;

@@ -89,9 +89,16 @@ int main(int argc, char** argv) {
   }
 
   // --- reloadable artifacts ---
-  SaveGraph(city, prefix + ".graph");
-  SaveInstance(instance, prefix + ".instance");
-  SaveSolution(result.solution, prefix + ".solution");
+  for (const Status& written :
+       {WriteGraph(city, prefix + ".graph"),
+        WriteInstance(instance, prefix + ".instance"),
+        WriteSolution(result.solution, prefix + ".solution")}) {
+    if (!written.ok()) {
+      std::fprintf(stderr, "export failed: %s\n",
+                   written.ToString().c_str());
+      return 1;
+    }
+  }
   std::printf("exported %s_{customers,facilities,edges}.csv and "
               "%s.{graph,instance,solution}\n",
               prefix.c_str(), prefix.c_str());

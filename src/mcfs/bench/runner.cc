@@ -27,8 +27,8 @@ AlgoOutcome RunAlgorithm(const std::string& name, const AlgorithmFn& fn,
   outcome.objective = solution.objective;
   outcome.feasible = solution.feasible;
   outcome.termination = solution.termination;
-  const ValidationResult validation = ValidateSolution(instance, solution);
-  MCFS_CHECK(validation.ok) << name << ": " << validation.message;
+  const VerifyReport structure = VerifyStructure(instance, solution);
+  MCFS_CHECK(structure.ok) << name << ": " << structure.failures.front();
   if (verify) {
     outcome.verify_ran = true;
     outcome.verify_ok = VerifySolution(instance, solution).ok;

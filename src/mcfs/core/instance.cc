@@ -1,13 +1,9 @@
 #include "mcfs/core/instance.h"
 
-#include <cmath>
 #include <numeric>
-#include <set>
-#include <sstream>
 
 #include "mcfs/common/thread_pool.h"
 #include "mcfs/flow/matcher.h"
-#include "mcfs/graph/dijkstra.h"
 
 namespace mcfs {
 
@@ -30,60 +26,6 @@ double McfsInstance::Occupancy() const {
       capacities.size();
   if (mean_capacity <= 0.0) return 0.0;
   return static_cast<double>(m()) / (mean_capacity * k);
-}
-
-ValidationResult ValidateSolution(const McfsInstance& instance,
-                                  const McfsSolution& solution,
-                                  bool check_distances) {
-  auto fail = [](const std::string& message) {
-    return ValidationResult{false, message};
-  };
-  if (static_cast<int>(solution.selected.size()) > instance.k) {
-    return fail("more than k facilities selected");
-  }
-  std::set<int> selected_set;
-  for (const int j : solution.selected) {
-    if (j < 0 || j >= instance.l()) return fail("selected index out of range");
-    if (!selected_set.insert(j).second) return fail("duplicate selection");
-  }
-  if (solution.assignment.size() != instance.customers.size()) {
-    return fail("assignment size mismatch");
-  }
-  std::vector<int> load(instance.l(), 0);
-  double total = 0.0;
-  for (int i = 0; i < instance.m(); ++i) {
-    const int j = solution.assignment[i];
-    if (j == -1) {
-      if (solution.feasible) return fail("feasible solution left a customer unassigned");
-      continue;
-    }
-    if (selected_set.count(j) == 0) {
-      return fail("customer assigned to unselected facility");
-    }
-    if (++load[j] > instance.capacities[j]) {
-      std::ostringstream msg;
-      msg << "capacity of facility " << j << " exceeded";
-      return fail(msg.str());
-    }
-    total += solution.distances[i];
-  }
-  if (std::abs(total - solution.objective) > 1e-6 * (1.0 + total)) {
-    return fail("objective does not match the sum of distances");
-  }
-  if (check_distances) {
-    for (const int j : solution.selected) {
-      const std::vector<double> dist =
-          ShortestPathsFrom(*instance.graph, instance.facility_nodes[j]);
-      for (int i = 0; i < instance.m(); ++i) {
-        if (solution.assignment[i] != j) continue;
-        if (std::abs(dist[instance.customers[i]] - solution.distances[i]) >
-            1e-6 * (1.0 + solution.distances[i])) {
-          return fail("recorded distance differs from network distance");
-        }
-      }
-    }
-  }
-  return {true, ""};
 }
 
 namespace {

@@ -1,7 +1,6 @@
 #ifndef MCFS_CORE_INSTANCE_H_
 #define MCFS_CORE_INSTANCE_H_
 
-#include <string>
 #include <vector>
 
 #include "mcfs/graph/graph.h"
@@ -49,20 +48,6 @@ struct McfsSolution {
   bool feasible = false;          // every customer assigned
   Termination termination = Termination::kConverged;
 };
-
-struct ValidationResult {
-  bool ok = true;
-  std::string message;
-};
-
-// Structural validation: selected facilities are distinct, in range and
-// within budget; every assignment points at a selected facility; no
-// facility exceeds its capacity; the objective equals the distance sum.
-// With check_distances, also recomputes each assigned distance by
-// network Dijkstra from the facilities (k full Dijkstras).
-ValidationResult ValidateSolution(const McfsInstance& instance,
-                                  const McfsSolution& solution,
-                                  bool check_distances = false);
 
 // Checks whether an instance admits any feasible solution (Theorem 3):
 // for every connected component g, the customers in g must be coverable

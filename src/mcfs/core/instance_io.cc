@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -132,7 +133,7 @@ StatusOr<McfsInstance> ReadInstance(const Graph* graph,
 Status WriteSolution(const McfsSolution& solution, const std::string& path) {
   std::ofstream out(path);
   if (!out) return IoError("cannot open for writing: " + path);
-  out.precision(12);
+  out.precision(std::numeric_limits<double>::max_digits10);
   out << "MCFSSOL 1\n";
   out << solution.selected.size() << ' ' << solution.assignment.size()
       << ' ' << solution.objective << ' ' << (solution.feasible ? 1 : 0)
@@ -224,79 +225,6 @@ StatusOr<McfsSolution> ReadSolution(const std::string& path) {
     solution.distances.push_back(distance);
   }
   return solution;
-}
-
-Status CheckSolutionAgainstInstance(const McfsSolution& solution,
-                                    const McfsInstance& instance) {
-  if (static_cast<int>(solution.assignment.size()) != instance.m() ||
-      solution.distances.size() != solution.assignment.size()) {
-    std::ostringstream msg;
-    msg << "solution covers " << solution.assignment.size()
-        << " customers (" << solution.distances.size()
-        << " distances) but the instance has " << instance.m();
-    return InvalidInputError(msg.str());
-  }
-  if (static_cast<int>(solution.selected.size()) > instance.k) {
-    std::ostringstream msg;
-    msg << solution.selected.size() << " facilities selected, budget k = "
-        << instance.k;
-    return InvalidInputError(msg.str());
-  }
-  std::vector<uint8_t> is_selected(instance.l(), 0);
-  for (const int j : solution.selected) {
-    if (j < 0 || j >= instance.l()) {
-      return InvalidInputError("selected facility index " +
-                               std::to_string(j) + " out of range [0, " +
-                               std::to_string(instance.l()) + ")");
-    }
-    if (is_selected[j]) {
-      return InvalidInputError("facility " + std::to_string(j) +
-                               " selected twice");
-    }
-    is_selected[j] = 1;
-  }
-  for (int i = 0; i < instance.m(); ++i) {
-    const int j = solution.assignment[i];
-    if (j == -1) continue;
-    if (j < 0 || j >= instance.l()) {
-      return InvalidInputError(
-          "customer " + std::to_string(i) + " assigned to facility index " +
-          std::to_string(j) + " out of range [0, " +
-          std::to_string(instance.l()) + ")");
-    }
-    if (!is_selected[j]) {
-      return InvalidInputError("customer " + std::to_string(i) +
-                               " assigned to unselected facility " +
-                               std::to_string(j));
-    }
-    if (!std::isfinite(solution.distances[i]) ||
-        solution.distances[i] < 0.0) {
-      return InvalidInputError("customer " + std::to_string(i) +
-                               " carries a non-finite or negative distance");
-    }
-  }
-  return OkStatus();
-}
-
-bool SaveInstance(const McfsInstance& instance, const std::string& path) {
-  return WriteInstance(instance, path).ok();
-}
-
-std::optional<McfsInstance> LoadInstance(const Graph* graph,
-                                         const std::string& path) {
-  StatusOr<McfsInstance> instance = ReadInstance(graph, path);
-  if (!instance.ok()) return std::nullopt;
-  return std::move(instance).value();
-}
-
-bool SaveSolution(const McfsSolution& solution, const std::string& path) {
-  return WriteSolution(solution, path).ok();
-}
-
-std::optional<McfsSolution> LoadSolution(const std::string& path) {
-  StatusOr<McfsSolution> solution = ReadSolution(path);
-  if (!solution.ok()) return std::nullopt;
-  return std::move(solution).value();
 }
 
 }  // namespace mcfs

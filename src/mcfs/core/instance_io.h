@@ -1,7 +1,6 @@
 #ifndef MCFS_CORE_INSTANCE_IO_H_
 #define MCFS_CORE_INSTANCE_IO_H_
 
-#include <optional>
 #include <string>
 
 #include "mcfs/common/status.h"
@@ -12,10 +11,9 @@ namespace mcfs {
 // Plain-text persistence for instances and solutions, so repeated /
 // dynamic planning workflows (and the CLI example) can store and reload
 // problems. The graph itself is saved separately via WriteGraph.
-//
-// The Status API is primary (line-numbered parse diagnostics, typed
-// kIoError/kInvalidInput codes; DESIGN.md §4.8); the bool/optional
-// Save*/Load* signatures are thin deprecated shims.
+// Readers report line-numbered parse diagnostics with typed
+// kIoError/kInvalidInput codes (DESIGN.md §4.8). Doubles are written
+// with max_digits10 digits, so a write/read round trip is exact.
 //
 // Instance format:
 //   "MCFS 1"
@@ -40,28 +38,6 @@ StatusOr<McfsInstance> ReadInstance(const Graph* graph,
 Status WriteSolution(const McfsSolution& solution, const std::string& path);
 
 StatusOr<McfsSolution> ReadSolution(const std::string& path);
-
-// Consistency of a (possibly reloaded) solution against the instance it
-// claims to solve: matching customer count, selected facility indices
-// in [0, l) and within the k budget, every assignment either -1 or a
-// selected facility, finite nonnegative distances. Structural only —
-// the independent verifier (core/verifier.h) re-derives distances and
-// capacities on top of this.
-Status CheckSolutionAgainstInstance(const McfsSolution& solution,
-                                    const McfsInstance& instance);
-
-// Deprecated: use WriteInstance. Returns false on any failure.
-bool SaveInstance(const McfsInstance& instance, const std::string& path);
-
-// Deprecated: use ReadInstance. Collapses the diagnostic to nullopt.
-std::optional<McfsInstance> LoadInstance(const Graph* graph,
-                                         const std::string& path);
-
-// Deprecated: use WriteSolution. Returns false on any failure.
-bool SaveSolution(const McfsSolution& solution, const std::string& path);
-
-// Deprecated: use ReadSolution. Collapses the diagnostic to nullopt.
-std::optional<McfsSolution> LoadSolution(const std::string& path);
 
 }  // namespace mcfs
 

@@ -33,7 +33,7 @@ struct SolutionStats {
 };
 
 // Computes the statistics; the solution must be structurally valid for
-// the instance (see ValidateSolution).
+// the instance (see VerifyStructure).
 SolutionStats ComputeSolutionStats(const McfsInstance& instance,
                                    const McfsSolution& solution);
 

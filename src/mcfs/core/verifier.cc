@@ -11,15 +11,6 @@
 
 namespace mcfs {
 
-namespace {
-
-bool Close(double a, double b, double epsilon) {
-  return std::abs(a - b) <=
-         epsilon * std::max({1.0, std::abs(a), std::abs(b)});
-}
-
-}  // namespace
-
 Status VerifyReport::ToStatus() const {
   if (ok) return OkStatus();
   std::ostringstream msg;
@@ -37,15 +28,28 @@ std::string VerifyReport::ToString() const {
   return out.str();
 }
 
-VerifyReport VerifySolution(const McfsInstance& instance,
-                            const McfsSolution& solution,
-                            const VerifyOptions& options) {
+namespace {
+
+constexpr double kEpsilon = 1e-6;
+
+bool Close(double a, double b) {
+  return std::abs(a - b) <=
+         kEpsilon * std::max({1.0, std::abs(a), std::abs(b)});
+}
+
+// Where the per-customer distances come from: the solution's own claims
+// (VerifyStructure), or a re-derivation on the network.
+enum class Distances { kClaimed, kFull, kTargeted };
+
+VerifyReport Verify(const McfsInstance& instance,
+                    const McfsSolution& solution, Distances source) {
   VerifyReport report;
   auto fail = [&report](const std::string& what) {
     report.ok = false;
     report.failures.push_back(what);
   };
-  MCFS_COUNT("verify/solutions_checked", 1);
+  const bool counted = source != Distances::kClaimed;
+  if (counted) MCFS_COUNT("verify/solutions_checked", 1);
 
   // --- Shape: a solution that is not even structurally sound is
   // rejected before any distance work.
@@ -55,7 +59,7 @@ VerifyReport VerifySolution(const McfsInstance& instance,
          std::to_string(solution.assignment.size()) + "/" +
          std::to_string(solution.distances.size()) + " for " +
          std::to_string(instance.m()) + " customers");
-    MCFS_COUNT("verify/failures", 1);
+    if (counted) MCFS_COUNT("verify/failures", 1);
     return report;
   }
 
@@ -80,11 +84,11 @@ VerifyReport VerifySolution(const McfsInstance& instance,
     }
   }
   if (!selection_sound) {
-    MCFS_COUNT("verify/failures", 1);
+    if (counted) MCFS_COUNT("verify/failures", 1);
     return report;
   }
 
-  // --- Independent distances. Default: one fresh full Dijkstra per
+  // --- Independent distances. Full: one fresh full Dijkstra per
   // selected facility (undirected graphs, so dist(facility -> customer)
   // == dist(customer -> facility)), read at once into the distance of
   // every customer assigned to that facility, so one distance array is
@@ -94,7 +98,7 @@ VerifyReport VerifySolution(const McfsInstance& instance,
   // prove the claim understates it.
   std::vector<double> assigned_distance;
   std::map<NodeId, IncrementalDijkstra> searches;
-  if (!options.targeted) {
+  if (source == Distances::kFull) {
     assigned_distance.assign(instance.m(), kInfDistance);
     for (size_t s = 0; s < solution.selected.size(); ++s) {
       const std::vector<double> dist = ShortestPathsFrom(
@@ -110,7 +114,7 @@ VerifyReport VerifySolution(const McfsInstance& instance,
   }
 
   // --- Assignments: valid targets, true distances, load within
-  // capacity, and the objective as the re-derived sum.
+  // capacity, and the objective as the sum of the distances.
   std::vector<int64_t> load(solution.selected.size(), 0);
   int unassigned = 0;
   bool distances_complete = true;
@@ -130,7 +134,9 @@ VerifyReport VerifySolution(const McfsInstance& instance,
     const int s = selected_slot[j];
     ++load[s];
     double true_distance;
-    if (options.targeted) {
+    if (source == Distances::kClaimed) {
+      true_distance = solution.distances[i];
+    } else if (source == Distances::kTargeted) {
       const NodeId origin = instance.customers[i];
       const NodeId target = instance.facility_nodes[j];
       auto it = searches.find(origin);
@@ -147,8 +153,7 @@ VerifyReport VerifySolution(const McfsInstance& instance,
       // Settling past this limit without reaching the target proves the
       // true distance is larger than anything Close() would accept.
       const double limit =
-          claimed +
-          options.epsilon * std::max({1.0, std::abs(claimed)});
+          claimed + kEpsilon * std::max({1.0, std::abs(claimed)});
       true_distance = search.SettledDistance(target);
       while (!std::isfinite(true_distance) &&
              search.PeekNextDistance() <= limit) {
@@ -178,7 +183,8 @@ VerifyReport VerifySolution(const McfsInstance& instance,
         continue;
       }
     }
-    if (!Close(solution.distances[i], true_distance, options.epsilon)) {
+    if (source != Distances::kClaimed &&
+        !Close(solution.distances[i], true_distance)) {
       std::ostringstream msg;
       msg << "customer " << i << " claims distance "
           << solution.distances[i] << " but the network distance is "
@@ -187,10 +193,12 @@ VerifyReport VerifySolution(const McfsInstance& instance,
     }
     report.recomputed_objective += true_distance;
   }
-  if (options.targeted) {
+  if (source == Distances::kTargeted) {
     MCFS_COUNT("verify/dijkstra_runs", report.dijkstra_runs);
   }
-  MCFS_COUNT("verify/customers_checked", report.customers_checked);
+  if (counted) {
+    MCFS_COUNT("verify/customers_checked", report.customers_checked);
+  }
   for (size_t s = 0; s < load.size(); ++s) {
     const int j = solution.selected[s];
     if (load[s] > instance.capacities[j]) {
@@ -199,24 +207,36 @@ VerifyReport VerifySolution(const McfsInstance& instance,
            std::to_string(instance.capacities[j]));
     }
   }
-  if (unassigned > 0 && (solution.feasible || options.require_all_assigned)) {
-    fail(std::to_string(unassigned) + " customers unassigned" +
-         (solution.feasible ? " in a solution marked feasible" : ""));
+  if (unassigned > 0 && solution.feasible) {
+    fail(std::to_string(unassigned) +
+         " customers unassigned in a solution marked feasible");
   }
   // An early-exited targeted search leaves the re-derived sum partial;
   // the per-customer failure is already recorded, so the objective
-  // comparison would only add noise. (The default mode keeps its
-  // historical behavior of always comparing.)
-  if ((distances_complete || !options.targeted) &&
-      !Close(solution.objective, report.recomputed_objective,
-             options.epsilon)) {
+  // comparison would only add noise. The other sources always compare.
+  if ((distances_complete || source != Distances::kTargeted) &&
+      !Close(solution.objective, report.recomputed_objective)) {
     std::ostringstream msg;
     msg << "objective claims " << solution.objective
         << " but the assignments sum to " << report.recomputed_objective;
     fail(msg.str());
   }
-  if (!report.ok) MCFS_COUNT("verify/failures", 1);
+  if (counted && !report.ok) MCFS_COUNT("verify/failures", 1);
   return report;
+}
+
+}  // namespace
+
+VerifyReport VerifySolution(const McfsInstance& instance,
+                            const McfsSolution& solution,
+                            const VerifyOptions& options) {
+  return Verify(instance, solution,
+                options.targeted ? Distances::kTargeted : Distances::kFull);
+}
+
+VerifyReport VerifyStructure(const McfsInstance& instance,
+                             const McfsSolution& solution) {
+  return Verify(instance, solution, Distances::kClaimed);
 }
 
 }  // namespace mcfs

@@ -9,30 +9,23 @@
 
 namespace mcfs {
 
-// Independent solution verifier (DESIGN.md §4.8). Deliberately shares
-// no code with the solvers: distances are recomputed with one fresh
-// full Dijkstra per selected facility and every claim a solution makes
-// (selection within budget, assignment validity, capacities, per-
-// customer distances, the objective sum) is re-derived from scratch.
-// Used by the benches behind --verify and by the integration tests as
-// a cross-check on WMA, the baselines, and the exact solver.
+// The one solution checker (DESIGN.md §4.8). Deliberately shares no
+// code with the solvers. Every claim a solution makes is checked here:
+// the shape, a selection of at most k distinct in-range facilities,
+// every assignment pointing at a selected facility, no facility over
+// capacity, unassigned customers only in a solution marked infeasible,
+// and the objective as the sum of the distances. VerifySolution also
+// re-derives every assigned distance on the network. Distances and
+// objectives match when |a - b| <= 1e-6 * max(1, |a|, |b|).
 
 struct VerifyOptions {
-  // Tolerance for comparing distances/objectives: values a and b match
-  // when |a - b| <= epsilon * max(1, |a|, |b|).
-  double epsilon = 1e-6;
-  // When set, an unassigned customer (assignment == -1) is a failure
-  // even if the solution flags itself infeasible. Off by default so
-  // best-effort solutions on infeasible instances can still be checked.
-  bool require_all_assigned = false;
   // Distance re-derivation strategy. The default runs one full Dijkstra
   // per selected facility — thorough, but O(k) full searches. `targeted`
   // instead runs one early-exit point-to-point search per distinct
   // customer node, settled only until the assigned facility is reached
   // (or the claimed distance is provably exceeded). Work is bounded by
   // the claimed distance's ball around each customer, which makes it
-  // cheap enough for the serving fast path; every structural claim
-  // (selection, assignment validity, capacities, objective sum) is
+  // cheap enough for the serving fast path; every structural claim is
   // checked identically in both modes.
   bool targeted = false;
 };
@@ -42,7 +35,7 @@ struct VerifyReport {
   std::vector<std::string> failures;   // one line per violated claim
   int customers_checked = 0;
   int dijkstra_runs = 0;
-  double recomputed_objective = 0.0;   // sum of re-derived distances
+  double recomputed_objective = 0.0;   // sum of the checked distances
 
   // kOk, or kInvalidInput carrying the first failure.
   Status ToStatus() const;
@@ -55,6 +48,13 @@ struct VerifyReport {
 VerifyReport VerifySolution(const McfsInstance& instance,
                             const McfsSolution& solution,
                             const VerifyOptions& options = {});
+
+// VerifySolution's structural checks alone: the claimed distances are
+// taken as given, so the objective is compared with their sum. No
+// network search runs and no counter moves; a failure string is the
+// one VerifySolution reports for the same defect.
+VerifyReport VerifyStructure(const McfsInstance& instance,
+                             const McfsSolution& solution);
 
 }  // namespace mcfs
 

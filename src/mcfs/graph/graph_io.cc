@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "mcfs/common/line_reader.h"
@@ -34,7 +35,7 @@ Status ImplausibleCount(const char* what, int64_t count, int64_t bytes) {
 Status WriteGraph(const Graph& graph, const std::string& path) {
   std::ofstream out(path);
   if (!out) return IoError("cannot open for writing: " + path);
-  out.precision(12);
+  out.precision(std::numeric_limits<double>::max_digits10);
   out << graph.NumNodes() << ' ' << graph.NumEdges() << ' '
       << (graph.has_coordinates() ? 1 : 0) << '\n';
   if (graph.has_coordinates()) {
@@ -124,16 +125,6 @@ StatusOr<Graph> ReadGraph(const std::string& path) {
     builder.AddEdge(static_cast<NodeId>(u), static_cast<NodeId>(v), w);
   }
   return builder.Build();
-}
-
-bool SaveGraph(const Graph& graph, const std::string& path) {
-  return WriteGraph(graph, path).ok();
-}
-
-std::optional<Graph> LoadGraph(const std::string& path) {
-  StatusOr<Graph> graph = ReadGraph(path);
-  if (!graph.ok()) return std::nullopt;
-  return std::move(graph).value();
 }
 
 }  // namespace mcfs

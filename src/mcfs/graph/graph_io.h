@@ -1,7 +1,6 @@
 #ifndef MCFS_GRAPH_GRAPH_IO_H_
 #define MCFS_GRAPH_GRAPH_IO_H_
 
-#include <optional>
 #include <string>
 
 #include "mcfs/common/status.h"
@@ -14,10 +13,10 @@ namespace mcfs {
 //   if has_coords: num_nodes lines "x y"
 //   then num_edges lines "u v weight"
 //
-// The Status API below is the primary one (line-numbered parse
-// diagnostics, typed kIoError/kInvalidInput codes; DESIGN.md §4.8);
-// SaveGraph/LoadGraph are thin deprecated shims kept for callers of the
-// original bool/optional signatures.
+// ReadGraph reports line-numbered parse diagnostics with typed
+// kIoError/kInvalidInput codes (DESIGN.md §4.8). Weights and
+// coordinates are written with max_digits10 digits, so a write/read
+// round trip is exact.
 
 // Writes the graph; kIoError when the file cannot be opened or the
 // write is cut short.
@@ -29,12 +28,6 @@ Status WriteGraph(const Graph& graph, const std::string& path);
 // weights, truncated files, and node/edge counts larger than the file
 // could possibly hold.
 StatusOr<Graph> ReadGraph(const std::string& path);
-
-// Deprecated: use WriteGraph. Returns false on any failure.
-bool SaveGraph(const Graph& graph, const std::string& path);
-
-// Deprecated: use ReadGraph. Collapses the diagnostic to nullopt.
-std::optional<Graph> LoadGraph(const std::string& path);
 
 }  // namespace mcfs
 

@@ -2,6 +2,7 @@
 
 #include "mcfs/baselines/brnn.h"
 #include "mcfs/baselines/hilbert_baseline.h"
+#include "mcfs/core/verifier.h"
 #include "mcfs/core/wma.h"
 #include "mcfs/graph/generators.h"
 #include "mcfs/workload/workload.h"
@@ -38,9 +39,8 @@ class BaselineValidityTest : public ::testing::TestWithParam<int> {};
 TEST_P(BaselineValidityTest, HilbertSolutionsAreValid) {
   GeoInstance geo = MakeGeoInstance(300, 30, 60, 6, 10, 500 + GetParam());
   const McfsSolution solution = RunHilbertBaseline(geo.instance);
-  const ValidationResult validation =
-      ValidateSolution(geo.instance, solution, true);
-  EXPECT_TRUE(validation.ok) << validation.message;
+  const VerifyReport validation = VerifySolution(geo.instance, solution);
+  EXPECT_TRUE(validation.ok) << validation.ToString();
   if (IsFeasible(geo.instance)) {
     EXPECT_TRUE(solution.feasible);
   }
@@ -49,9 +49,8 @@ TEST_P(BaselineValidityTest, HilbertSolutionsAreValid) {
 TEST_P(BaselineValidityTest, BrnnSolutionsAreValid) {
   GeoInstance geo = MakeGeoInstance(200, 20, 40, 5, 8, 600 + GetParam());
   const McfsSolution solution = RunBrnnBaseline(geo.instance);
-  const ValidationResult validation =
-      ValidateSolution(geo.instance, solution, true);
-  EXPECT_TRUE(validation.ok) << validation.message;
+  const VerifyReport validation = VerifySolution(geo.instance, solution);
+  EXPECT_TRUE(validation.ok) << validation.ToString();
   if (IsFeasible(geo.instance)) {
     EXPECT_TRUE(solution.feasible);
   }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mcfs/core/verifier.h"
 #include "mcfs/core/wma.h"
 #include "tests/test_util.h"
 
@@ -50,7 +51,7 @@ TEST_P(BranchAndBoundOracleTest, MatchesEnumeration) {
   if (enumerated.solution.feasible) {
     EXPECT_NEAR(bb.solution.objective, enumerated.solution.objective,
                 1e-5 * (1.0 + enumerated.solution.objective));
-    EXPECT_TRUE(ValidateSolution(ri.instance, bb.solution, true).ok);
+    EXPECT_TRUE(VerifySolution(ri.instance, bb.solution).ok);
   }
 }
 
@@ -79,7 +80,7 @@ TEST(SolveExactTest, FailsGracefullyOnTinyBudget) {
   EXPECT_TRUE(result.failed);
   // The incumbent (WMA seed) is still reported.
   if (result.solution.feasible) {
-    EXPECT_TRUE(ValidateSolution(ri.instance, result.solution).ok);
+    EXPECT_TRUE(VerifySolution(ri.instance, result.solution).ok);
   }
 }
 

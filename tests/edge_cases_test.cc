@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "mcfs/baselines/greedy_kmedian.h"
+#include "mcfs/core/verifier.h"
 #include "mcfs/core/wma.h"
 #include "mcfs/exact/bb_solver.h"
 #include "mcfs/flow/matcher.h"
@@ -78,7 +79,7 @@ TEST(EdgeCaseTest, AllCapacitiesZeroIsInfeasible) {
   EXPECT_FALSE(IsFeasible(instance));
   const WmaResult result = RunWma(instance);
   EXPECT_FALSE(result.solution.feasible);
-  EXPECT_TRUE(ValidateSolution(instance, result.solution).ok);
+  EXPECT_TRUE(VerifySolution(instance, result.solution).ok);
 }
 
 TEST(EdgeCaseTest, TightOccupancyExactlyOne) {
@@ -96,7 +97,7 @@ TEST(EdgeCaseTest, TightOccupancyExactlyOne) {
   EXPECT_DOUBLE_EQ(instance.Occupancy(), 1.0);
   const WmaResult result = RunWma(instance);
   ASSERT_TRUE(result.solution.feasible);
-  EXPECT_TRUE(ValidateSolution(instance, result.solution, true).ok);
+  EXPECT_TRUE(VerifySolution(instance, result.solution).ok);
   // Optimal: {0,1}->f0 (2+1), {4,5}->f1 (1+2) = 6.
   EXPECT_NEAR(result.solution.objective, 6.0, 1e-9);
 }
@@ -120,7 +121,7 @@ TEST(EdgeCaseTest, HeavyContentionSingleHub) {
   instance.k = 3;
   const WmaResult result = RunWma(instance);
   ASSERT_TRUE(result.solution.feasible);
-  EXPECT_TRUE(ValidateSolution(instance, result.solution, true).ok);
+  EXPECT_TRUE(VerifySolution(instance, result.solution).ok);
   // Exact reference agrees.
   const ExactResult exact = SolveByEnumeration(instance);
   EXPECT_NEAR(result.solution.objective, exact.solution.objective, 1e-6);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mcfs/core/verifier.h"
 #include "mcfs/core/wma.h"
 #include "mcfs/exact/bb_solver.h"
 #include "tests/test_util.h"
@@ -41,9 +42,8 @@ TEST_P(GreedyKMedianValidityTest, SolutionsAreValid) {
   const int parts = 1 + GetParam() % 2;
   RandomInstance ri = MakeRandomInstance(60, 12, 10, 4, 6, rng, parts);
   const McfsSolution solution = RunGreedyKMedian(ri.instance);
-  const ValidationResult validation =
-      ValidateSolution(ri.instance, solution, true);
-  EXPECT_TRUE(validation.ok) << validation.message;
+  const VerifyReport validation = VerifySolution(ri.instance, solution);
+  EXPECT_TRUE(validation.ok) << validation.ToString();
   if (IsFeasible(ri.instance)) {
     EXPECT_TRUE(solution.feasible);
   }

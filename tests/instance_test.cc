@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mcfs/core/verifier.h"
 #include "mcfs/flow/transport.h"
 #include "tests/test_util.h"
 
@@ -10,83 +11,6 @@ namespace {
 
 using testing_util::MakeRandomInstance;
 using testing_util::RandomInstance;
-
-McfsInstance SmallPathInstance(const Graph* graph) {
-  McfsInstance instance;
-  instance.graph = graph;
-  instance.customers = {0, 2};
-  instance.facility_nodes = {1, 3};
-  instance.capacities = {1, 1};
-  instance.k = 2;
-  return instance;
-}
-
-TEST(ValidateSolutionTest, AcceptsCorrectSolution) {
-  GraphBuilder builder(4);
-  builder.AddEdge(0, 1, 1.0);
-  builder.AddEdge(1, 2, 1.0);
-  builder.AddEdge(2, 3, 1.0);
-  const Graph graph = builder.Build();
-  const McfsInstance instance = SmallPathInstance(&graph);
-  McfsSolution solution;
-  solution.selected = {0, 1};
-  solution.assignment = {0, 1};
-  solution.distances = {1.0, 1.0};
-  solution.objective = 2.0;
-  solution.feasible = true;
-  EXPECT_TRUE(ValidateSolution(instance, solution, true).ok);
-}
-
-TEST(ValidateSolutionTest, RejectsDefects) {
-  GraphBuilder builder(4);
-  builder.AddEdge(0, 1, 1.0);
-  builder.AddEdge(1, 2, 1.0);
-  builder.AddEdge(2, 3, 1.0);
-  const Graph graph = builder.Build();
-  const McfsInstance instance = SmallPathInstance(&graph);
-
-  McfsSolution good;
-  good.selected = {0, 1};
-  good.assignment = {0, 1};
-  good.distances = {1.0, 1.0};
-  good.objective = 2.0;
-  good.feasible = true;
-
-  {
-    McfsSolution bad = good;  // too many selections
-    bad.selected = {0, 1, 1};
-    EXPECT_FALSE(ValidateSolution(instance, bad).ok);
-  }
-  {
-    McfsSolution bad = good;  // assignment to unselected facility
-    bad.selected = {0};
-    EXPECT_FALSE(ValidateSolution(instance, bad).ok);
-  }
-  {
-    McfsSolution bad = good;  // capacity violation
-    bad.assignment = {0, 0};
-    EXPECT_FALSE(ValidateSolution(instance, bad).ok);
-  }
-  {
-    McfsSolution bad = good;  // objective mismatch
-    bad.objective = 5.0;
-    EXPECT_FALSE(ValidateSolution(instance, bad).ok);
-  }
-  {
-    McfsSolution bad = good;  // wrong recorded distance
-    bad.distances = {1.5, 0.5};
-    EXPECT_FALSE(ValidateSolution(instance, bad, true).ok);
-    EXPECT_TRUE(ValidateSolution(instance, bad, false).ok)
-        << "distance check requires check_distances";
-  }
-  {
-    McfsSolution bad = good;  // feasible flag but unassigned customer
-    bad.assignment = {0, -1};
-    bad.distances = {1.0, 0.0};
-    bad.objective = 1.0;
-    EXPECT_FALSE(ValidateSolution(instance, bad).ok);
-  }
-}
 
 TEST(IsFeasibleTest, DetectsCapacityAndBudgetLimits) {
   GraphBuilder builder(4);
@@ -144,7 +68,7 @@ TEST(AssignOptimallyTest, MatchesOracleOnRandomInstances) {
     // Use the first k facilities as the selection.
     std::vector<int> selected = {0, 1, 2};
     const McfsSolution solution = AssignOptimally(ri.instance, selected);
-    EXPECT_TRUE(ValidateSolution(ri.instance, solution, true).ok);
+    EXPECT_TRUE(VerifySolution(ri.instance, solution).ok);
 
     const std::vector<double> cost = testing_util::DistanceMatrix(ri.instance);
     std::vector<int> capacities(ri.instance.l(), 0);

@@ -47,16 +47,13 @@ TEST_F(IntegrationTest, CoworkingPipeline) {
   ASSERT_TRUE(IsFeasible(instance));
   ASSERT_TRUE(ValidateInstance(instance).ok());
 
-  // Solve with every algorithm; all must validate (structural check
-  // plus the independent verifier's fresh-Dijkstra re-derivation), and
-  // WMA must win or tie against Hilbert.
+  // Solve with every algorithm; all must pass the independent
+  // verifier's fresh-Dijkstra re-derivation, and WMA must win or tie
+  // against Hilbert.
   const McfsSolution wma = RunWma(instance).solution;
   const McfsSolution uf = RunUniformFirstWma(instance).solution;
   const McfsSolution hilbert = RunHilbertBaseline(instance);
   for (const McfsSolution* solution : {&wma, &uf, &hilbert}) {
-    const ValidationResult validation =
-        ValidateSolution(instance, *solution, true);
-    EXPECT_TRUE(validation.ok) << validation.message;
     EXPECT_TRUE(solution->feasible);
     const VerifyReport report = VerifySolution(instance, *solution);
     EXPECT_TRUE(report.ok) << report.ToString();
@@ -71,22 +68,20 @@ TEST_F(IntegrationTest, CoworkingPipeline) {
   EXPECT_EQ(stats.assigned_customers, instance.m());
 
   const std::string dir = ::testing::TempDir();
-  ASSERT_TRUE(SaveGraph(City(), dir + "/it.graph"));
-  ASSERT_TRUE(SaveInstance(instance, dir + "/it.instance"));
-  ASSERT_TRUE(SaveSolution(polished.solution, dir + "/it.solution"));
-  const std::optional<Graph> graph2 = LoadGraph(dir + "/it.graph");
-  ASSERT_TRUE(graph2.has_value());
-  const std::optional<McfsInstance> instance2 =
-      LoadInstance(&*graph2, dir + "/it.instance");
-  ASSERT_TRUE(instance2.has_value());
-  const std::optional<McfsSolution> solution2 =
-      LoadSolution(dir + "/it.solution");
-  ASSERT_TRUE(solution2.has_value());
-  // The reloaded triple still validates, including network distances,
-  // and the reloaded solution is consistent with the reloaded instance.
-  EXPECT_TRUE(ValidateSolution(*instance2, *solution2, true).ok);
-  EXPECT_TRUE(CheckSolutionAgainstInstance(*solution2, *instance2).ok());
-  EXPECT_TRUE(VerifySolution(*instance2, *solution2).ok);
+  ASSERT_TRUE(WriteGraph(City(), dir + "/it.graph").ok());
+  ASSERT_TRUE(WriteInstance(instance, dir + "/it.instance").ok());
+  ASSERT_TRUE(WriteSolution(polished.solution, dir + "/it.solution").ok());
+  const StatusOr<Graph> graph2 = ReadGraph(dir + "/it.graph");
+  ASSERT_TRUE(graph2.ok()) << graph2.status().ToString();
+  const StatusOr<McfsInstance> instance2 =
+      ReadInstance(&*graph2, dir + "/it.instance");
+  ASSERT_TRUE(instance2.ok()) << instance2.status().ToString();
+  const StatusOr<McfsSolution> solution2 =
+      ReadSolution(dir + "/it.solution");
+  ASSERT_TRUE(solution2.ok()) << solution2.status().ToString();
+  // The reloaded triple still verifies, network distances included.
+  const VerifyReport reloaded = VerifySolution(*instance2, *solution2);
+  EXPECT_TRUE(reloaded.ok) << reloaded.ToString();
 }
 
 TEST_F(IntegrationTest, BikePipelineMatchesExactOnSmallK) {

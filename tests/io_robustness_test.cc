@@ -1,8 +1,8 @@
 // Malformed-input corpus for the Status-based loaders: truncated files,
 // out-of-range ids, negative/NaN weights, over-large counts, empty
 // files. Every case must produce a typed Status error — never a crash —
-// with a line-numbered diagnostic, and the deprecated optional shims
-// must collapse the same cases to nullopt.
+// with a line-numbered diagnostic. A loaded solution is then checked
+// against its instance by VerifyStructure.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include <string>
 
 #include "mcfs/core/instance_io.h"
+#include "mcfs/core/verifier.h"
 #include "mcfs/graph/graph_io.h"
 #include "tests/test_util.h"
 
@@ -113,10 +114,6 @@ TEST(IoRobustnessTest, GraphNegativeCountsRejected) {
   }
 }
 
-TEST(IoRobustnessTest, GraphShimCollapsesToNullopt) {
-  EXPECT_FALSE(LoadGraph(WriteFile("shim.graph", "zzz\n")).has_value());
-}
-
 // -------------------------------------------------------------- instances
 
 class InstanceRobustnessTest : public ::testing::Test {
@@ -213,47 +210,44 @@ TEST(SolutionRobustnessTest, ConsistencyAgainstInstance) {
   Rng rng(7);
   testing_util::RandomInstance ri =
       testing_util::MakeRandomInstance(30, 12, 6, 3, 4, rng);
-  McfsSolution solution;
-  solution.selected = {0, 1, 2};
-  solution.assignment.assign(ri.instance.m(), 0);
-  solution.distances.assign(ri.instance.m(), 1.0);
-  solution.feasible = true;
-  EXPECT_TRUE(CheckSolutionAgainstInstance(solution, ri.instance).ok());
+  const McfsSolution solution = AssignOptimally(ri.instance, {0, 1, 2});
+  auto code = [&ri](const McfsSolution& candidate) {
+    return VerifyStructure(ri.instance, candidate).ToStatus().code();
+  };
+  EXPECT_EQ(code(solution), StatusCode::kOk);
 
   McfsSolution wrong_m = solution;
   wrong_m.assignment.push_back(0);
   wrong_m.distances.push_back(1.0);
-  EXPECT_EQ(CheckSolutionAgainstInstance(wrong_m, ri.instance).code(),
-            StatusCode::kInvalidInput);
+  EXPECT_EQ(code(wrong_m), StatusCode::kInvalidInput);
 
   McfsSolution over_budget = solution;
   over_budget.selected = {0, 1, 2, 3};  // k = 3
-  EXPECT_EQ(CheckSolutionAgainstInstance(over_budget, ri.instance).code(),
-            StatusCode::kInvalidInput);
+  EXPECT_EQ(code(over_budget), StatusCode::kInvalidInput);
 
   McfsSolution bad_index = solution;
   bad_index.selected = {0, 1, 99};  // l = 6
-  EXPECT_EQ(CheckSolutionAgainstInstance(bad_index, ri.instance).code(),
-            StatusCode::kInvalidInput);
+  EXPECT_EQ(code(bad_index), StatusCode::kInvalidInput);
 
   McfsSolution duplicate = solution;
   duplicate.selected = {0, 1, 1};
-  EXPECT_EQ(CheckSolutionAgainstInstance(duplicate, ri.instance).code(),
-            StatusCode::kInvalidInput);
+  EXPECT_EQ(code(duplicate), StatusCode::kInvalidInput);
 
   McfsSolution unselected = solution;
   unselected.assignment[0] = 5;  // facility 5 exists but is not selected
-  EXPECT_EQ(CheckSolutionAgainstInstance(unselected, ri.instance).code(),
-            StatusCode::kInvalidInput);
+  EXPECT_EQ(code(unselected), StatusCode::kInvalidInput);
 
   McfsSolution out_of_range = solution;
   out_of_range.assignment[0] = 42;
-  EXPECT_EQ(CheckSolutionAgainstInstance(out_of_range, ri.instance).code(),
-            StatusCode::kInvalidInput);
+  EXPECT_EQ(code(out_of_range), StatusCode::kInvalidInput);
 
+  // An unassigned customer is consistent once the solution says so.
   McfsSolution unassigned = solution;
+  unassigned.objective -= unassigned.distances[0];
   unassigned.assignment[0] = -1;
-  EXPECT_TRUE(CheckSolutionAgainstInstance(unassigned, ri.instance).ok());
+  unassigned.distances[0] = 0.0;
+  unassigned.feasible = false;
+  EXPECT_EQ(code(unassigned), StatusCode::kOk);
 }
 
 // Round trips still work through the Status API.

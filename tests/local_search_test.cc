@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mcfs/core/verifier.h"
 #include "mcfs/core/wma.h"
 #include "mcfs/exact/bb_solver.h"
 #include "tests/test_util.h"
@@ -43,7 +44,7 @@ TEST(LocalSearchTest, NeverWorsensTheSolution) {
     const McfsSolution start = RunWma(ri.instance).solution;
     const LocalSearchResult improved =
         ImproveByLocalSearch(ri.instance, start);
-    EXPECT_TRUE(ValidateSolution(ri.instance, improved.solution, true).ok);
+    EXPECT_TRUE(VerifySolution(ri.instance, improved.solution).ok);
     if (start.feasible) {
       ASSERT_TRUE(improved.solution.feasible);
       EXPECT_LE(improved.solution.objective, start.objective + 1e-9);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mcfs/core/verifier.h"
 #include "mcfs/core/wma.h"
 #include "tests/test_util.h"
 
@@ -28,7 +29,7 @@ TEST(SolutionStatsTest, HandComputedExample) {
   solution.distances = {1.0, 2.0, 4.0};
   solution.objective = 7.0;
   solution.feasible = true;
-  ASSERT_TRUE(ValidateSolution(instance, solution, true).ok);
+  ASSERT_TRUE(VerifySolution(instance, solution).ok);
 
   const SolutionStats stats = ComputeSolutionStats(instance, solution);
   EXPECT_EQ(stats.assigned_customers, 3);

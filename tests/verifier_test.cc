@@ -1,8 +1,14 @@
-// Independent verifier: accepts genuine solver output and rejects every
-// kind of tampering — wrong distances, inflated objectives, capacity
-// overloads, unselected assignments, and budget violations.
+// The one solution checker: VerifySolution accepts genuine solver
+// output and, under both distance strategies, rejects every kind of
+// tampering — wrong distances, inflated objectives, capacity overloads,
+// unselected assignments, and budget violations. VerifyStructure
+// reports the same first failure for every structural defect.
 
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <limits>
+#include <set>
 
 #include "mcfs/core/verifier.h"
 #include "mcfs/core/wma.h"
@@ -11,6 +17,18 @@
 
 namespace mcfs {
 namespace {
+
+// The full strategy (one Dijkstra per selected facility) and the
+// targeted one (one early-exit search per customer node).
+std::vector<VerifyOptions> Strategies() {
+  VerifyOptions targeted;
+  targeted.targeted = true;
+  return {VerifyOptions{}, targeted};
+}
+
+const char* Name(const VerifyOptions& options) {
+  return options.targeted ? "targeted" : "full";
+}
 
 class VerifierTest : public ::testing::Test {
  protected:
@@ -21,6 +39,16 @@ class VerifierTest : public ::testing::Test {
     WmaOptions options;
     solution_ = RunWma(ri_.instance, options).solution;
   }
+  // A selection index that the solution does not select.
+  int Unselected() const {
+    const std::set<int> selected(solution_.selected.begin(),
+                                 solution_.selected.end());
+    for (int j = 0; j < ri_.instance.l(); ++j) {
+      if (selected.count(j) == 0) return j;
+    }
+    return -1;
+  }
+
   Rng rng_;
   testing_util::RandomInstance ri_;
   McfsSolution solution_;
@@ -28,30 +56,44 @@ class VerifierTest : public ::testing::Test {
 
 TEST_F(VerifierTest, AcceptsWmaOutput) {
   ASSERT_TRUE(solution_.feasible);
-  const VerifyReport report = VerifySolution(ri_.instance, solution_);
-  EXPECT_TRUE(report.ok) << report.ToString();
-  EXPECT_TRUE(report.ToStatus().ok());
-  EXPECT_EQ(report.customers_checked, ri_.instance.m());
-  EXPECT_EQ(report.dijkstra_runs,
-            static_cast<int>(solution_.selected.size()));
-  EXPECT_NEAR(report.recomputed_objective, solution_.objective, 1e-6);
+  const std::set<NodeId> customer_nodes(ri_.instance.customers.begin(),
+                                        ri_.instance.customers.end());
+  for (const VerifyOptions& options : Strategies()) {
+    SCOPED_TRACE(Name(options));
+    const VerifyReport report =
+        VerifySolution(ri_.instance, solution_, options);
+    EXPECT_TRUE(report.ok) << report.ToString();
+    EXPECT_TRUE(report.ToStatus().ok());
+    EXPECT_EQ(report.customers_checked, ri_.instance.m());
+    EXPECT_EQ(report.dijkstra_runs,
+              options.targeted
+                  ? static_cast<int>(customer_nodes.size())
+                  : static_cast<int>(solution_.selected.size()));
+    EXPECT_NEAR(report.recomputed_objective, solution_.objective, 1e-6);
+  }
 }
 
 TEST_F(VerifierTest, RejectsTamperedDistance) {
   McfsSolution tampered = solution_;
   tampered.distances[0] += 3.5;
-  const VerifyReport report = VerifySolution(ri_.instance, tampered);
-  EXPECT_FALSE(report.ok);
-  EXPECT_EQ(report.ToStatus().code(), StatusCode::kInvalidInput);
+  for (const VerifyOptions& options : Strategies()) {
+    SCOPED_TRACE(Name(options));
+    const VerifyReport report = VerifySolution(ri_.instance, tampered, options);
+    EXPECT_FALSE(report.ok);
+    EXPECT_EQ(report.ToStatus().code(), StatusCode::kInvalidInput);
+  }
 }
 
 TEST_F(VerifierTest, RejectsTamperedObjective) {
   McfsSolution tampered = solution_;
   tampered.objective *= 0.5;
-  const VerifyReport report = VerifySolution(ri_.instance, tampered);
-  EXPECT_FALSE(report.ok);
-  ASSERT_FALSE(report.failures.empty());
-  EXPECT_NE(report.failures[0].find("objective"), std::string::npos);
+  for (const VerifyOptions& options : Strategies()) {
+    SCOPED_TRACE(Name(options));
+    const VerifyReport report = VerifySolution(ri_.instance, tampered, options);
+    EXPECT_FALSE(report.ok);
+    ASSERT_FALSE(report.failures.empty());
+    EXPECT_NE(report.failures[0].find("objective"), std::string::npos);
+  }
 }
 
 TEST_F(VerifierTest, RejectsCapacityOverload) {
@@ -61,49 +103,54 @@ TEST_F(VerifierTest, RejectsCapacityOverload) {
   for (int i = 0; i < ri_.instance.m(); ++i) {
     tampered.assignment[i] = target;
   }
-  const VerifyReport report = VerifySolution(ri_.instance, tampered);
-  EXPECT_FALSE(report.ok);
-  bool saw_capacity = false;
-  for (const std::string& f : report.failures) {
-    if (f.find("capacity") != std::string::npos) saw_capacity = true;
+  for (const VerifyOptions& options : Strategies()) {
+    SCOPED_TRACE(Name(options));
+    const VerifyReport report = VerifySolution(ri_.instance, tampered, options);
+    EXPECT_FALSE(report.ok);
+    bool saw_capacity = false;
+    for (const std::string& f : report.failures) {
+      if (f.find("capacity") != std::string::npos) saw_capacity = true;
+    }
+    EXPECT_TRUE(saw_capacity) << report.ToString();
   }
-  EXPECT_TRUE(saw_capacity) << report.ToString();
 }
 
 TEST_F(VerifierTest, RejectsAssignmentToUnselectedFacility) {
   McfsSolution tampered = solution_;
-  int unselected = -1;
-  for (int j = 0; j < ri_.instance.l(); ++j) {
-    bool used = false;
-    for (const int s : tampered.selected) used |= (s == j);
-    if (!used) {
-      unselected = j;
-      break;
-    }
-  }
+  const int unselected = Unselected();
   ASSERT_NE(unselected, -1);
   tampered.assignment[0] = unselected;
-  EXPECT_FALSE(VerifySolution(ri_.instance, tampered).ok);
+  for (const VerifyOptions& options : Strategies()) {
+    EXPECT_FALSE(VerifySolution(ri_.instance, tampered, options).ok)
+        << Name(options);
+  }
 }
 
 TEST_F(VerifierTest, RejectsBudgetViolationAndDuplicates) {
   McfsSolution over = solution_;
   over.selected.assign(ri_.instance.k + 1, 0);
   for (int s = 0; s <= ri_.instance.k; ++s) over.selected[s] = s;
-  EXPECT_FALSE(VerifySolution(ri_.instance, over).ok);
 
   McfsSolution duplicated = solution_;
   ASSERT_GE(duplicated.selected.size(), 2u);
   duplicated.selected[1] = duplicated.selected[0];
-  EXPECT_FALSE(VerifySolution(ri_.instance, duplicated).ok);
+  for (const VerifyOptions& options : Strategies()) {
+    EXPECT_FALSE(VerifySolution(ri_.instance, over, options).ok)
+        << Name(options);
+    EXPECT_FALSE(VerifySolution(ri_.instance, duplicated, options).ok)
+        << Name(options);
+  }
 }
 
 TEST_F(VerifierTest, RejectsShapeMismatch) {
   McfsSolution tampered = solution_;
   tampered.assignment.pop_back();
-  const VerifyReport report = VerifySolution(ri_.instance, tampered);
-  EXPECT_FALSE(report.ok);
-  EXPECT_EQ(report.dijkstra_runs, 0);
+  for (const VerifyOptions& options : Strategies()) {
+    SCOPED_TRACE(Name(options));
+    const VerifyReport report = VerifySolution(ri_.instance, tampered, options);
+    EXPECT_FALSE(report.ok);
+    EXPECT_EQ(report.dijkstra_runs, 0);
+  }
 }
 
 TEST_F(VerifierTest, FlagsFeasibleMarkWithUnassignedCustomer) {
@@ -111,13 +158,232 @@ TEST_F(VerifierTest, FlagsFeasibleMarkWithUnassignedCustomer) {
   tampered.objective -= tampered.distances[0];
   tampered.assignment[0] = -1;
   tampered.distances[0] = 0.0;
-  EXPECT_FALSE(VerifySolution(ri_.instance, tampered).ok);
+  McfsSolution honest = tampered;
+  honest.feasible = false;  // honest about the gap -> accepted
+  for (const VerifyOptions& options : Strategies()) {
+    EXPECT_FALSE(VerifySolution(ri_.instance, tampered, options).ok)
+        << Name(options);
+    EXPECT_TRUE(VerifySolution(ri_.instance, honest, options).ok)
+        << Name(options);
+  }
+}
 
-  tampered.feasible = false;  // honest about the gap -> accepted
-  EXPECT_TRUE(VerifySolution(ri_.instance, tampered).ok);
-  VerifyOptions strict;
-  strict.require_all_assigned = true;
-  EXPECT_FALSE(VerifySolution(ri_.instance, tampered, strict).ok);
+// A claimed distance below the truth, with the objective kept
+// consistent, is a lie only the network can expose.
+TEST_F(VerifierTest, RejectsClaimBelowTruth) {
+  int i = 0;
+  while (i < ri_.instance.m() && !(solution_.distances[i] > 0.0)) ++i;
+  ASSERT_LT(i, ri_.instance.m());
+  McfsSolution tampered = solution_;
+  tampered.objective -= tampered.distances[i] / 2;
+  tampered.distances[i] /= 2;
+  for (const VerifyOptions& options : Strategies()) {
+    SCOPED_TRACE(Name(options));
+    const VerifyReport report = VerifySolution(ri_.instance, tampered, options);
+    ASSERT_FALSE(report.ok);
+    const std::string prefix =
+        "customer " + std::to_string(i) + " claims distance ";
+    EXPECT_EQ(report.failures[0].rfind(prefix, 0), 0u) << report.ToString();
+  }
+}
+
+TEST_F(VerifierTest, RejectsNanClaimedDistance) {
+  McfsSolution tampered = solution_;
+  tampered.distances[0] = std::numeric_limits<double>::quiet_NaN();
+  for (const VerifyOptions& options : Strategies()) {
+    SCOPED_TRACE(Name(options));
+    const VerifyReport report = VerifySolution(ri_.instance, tampered, options);
+    ASSERT_FALSE(report.ok);
+    EXPECT_EQ(report.failures[0].rfind("customer 0 claims distance nan", 0),
+              0u)
+        << report.ToString();
+  }
+  EXPECT_FALSE(VerifyStructure(ri_.instance, tampered).ok);
+}
+
+// Every structural defect: VerifyStructure reports the first failure
+// VerifySolution reports, under either strategy.
+TEST_F(VerifierTest, StructureReportsTheSameFirstFailure) {
+  const int k = ri_.instance.k;
+  const int unselected = Unselected();
+  const std::vector<std::function<void(McfsSolution&)>> solution_tampers = {
+      [](McfsSolution& s) { s.assignment.pop_back(); },
+      [](McfsSolution& s) { s.distances.push_back(0.0); },
+      [k](McfsSolution& s) {
+        s.selected.clear();
+        for (int j = 0; j <= k; ++j) s.selected.push_back(j);
+      },
+      [this](McfsSolution& s) { s.selected[0] = ri_.instance.l(); },
+      [](McfsSolution& s) { s.selected[1] = s.selected[0]; },
+      [unselected](McfsSolution& s) { s.assignment[0] = unselected; },
+      [](McfsSolution& s) { s.assignment[0] = -7; },
+      [](McfsSolution& s) {
+        s.objective -= s.distances[0];
+        s.assignment[0] = -1;
+        s.distances[0] = 0.0;
+      },
+      [](McfsSolution& s) { s.objective *= 0.5; },
+  };
+  std::vector<std::pair<McfsInstance, McfsSolution>> cases;
+  for (const auto& tamper : solution_tampers) {
+    cases.emplace_back(ri_.instance, solution_);
+    tamper(cases.back().second);
+  }
+  // Honest distances, but one facility's capacity is now too small.
+  cases.emplace_back(ri_.instance, solution_);
+  cases.back().first.capacities[solution_.assignment[0]] = 0;
+
+  for (size_t c = 0; c < cases.size(); ++c) {
+    const auto& [instance, solution] = cases[c];
+    const VerifyReport structure = VerifyStructure(instance, solution);
+    ASSERT_FALSE(structure.ok) << "case " << c;
+    EXPECT_EQ(structure.dijkstra_runs, 0);
+    for (const VerifyOptions& options : Strategies()) {
+      const VerifyReport full = VerifySolution(instance, solution, options);
+      ASSERT_FALSE(full.ok) << "case " << c << ", " << Name(options);
+      EXPECT_EQ(structure.failures[0], full.failures[0])
+          << "case " << c << ", " << Name(options);
+    }
+  }
+}
+
+TEST_F(VerifierTest, WrongDistancePassesStructureOnly) {
+  McfsSolution tampered = solution_;
+  tampered.distances[0] += 3.5;
+  tampered.objective += 3.5;
+  const VerifyReport structure = VerifyStructure(ri_.instance, tampered);
+  EXPECT_TRUE(structure.ok) << structure.ToString();
+  EXPECT_EQ(structure.dijkstra_runs, 0);
+  EXPECT_EQ(structure.customers_checked, ri_.instance.m());
+  for (const VerifyOptions& options : Strategies()) {
+    EXPECT_FALSE(VerifySolution(ri_.instance, tampered, options).ok)
+        << Name(options);
+  }
+}
+
+TEST_F(VerifierTest, StructureMovesNoCounter) {
+  obs::EnableMetrics(true);
+  obs::ResetMetrics();
+  VerifyStructure(ri_.instance, solution_);
+  McfsSolution tampered = solution_;
+  tampered.objective += 100.0;
+  VerifyStructure(ri_.instance, tampered);
+  tampered.selected.clear();
+  VerifyStructure(ri_.instance, tampered);
+  const obs::MetricsSnapshot snapshot = obs::SnapshotMetrics();
+  obs::EnableMetrics(false);
+  for (const auto& [name, value] : snapshot.counters) {
+    if (name.rfind("verify/", 0) == 0) {
+      EXPECT_EQ(value, 0) << name;
+    }
+  }
+}
+
+// A customer whose facility lies in another component of the network.
+TEST(VerifierUnreachableTest, RejectsCustomerOutsideItsFacilityComponent) {
+  GraphBuilder builder(4);  // two components: 0 - 1 and 2 - 3
+  builder.AddEdge(0, 1, 1.0);
+  builder.AddEdge(2, 3, 1.0);
+  const Graph graph = builder.Build();
+  McfsInstance instance;
+  instance.graph = &graph;
+  instance.customers = {0, 3};
+  instance.facility_nodes = {1, 2};
+  instance.capacities = {2, 2};
+  instance.k = 2;
+  McfsSolution solution;
+  solution.selected = {0, 1};
+  solution.assignment = {1, 1};  // customer 0 sits in the other component
+  solution.distances = {100.0, 1.0};
+  solution.objective = 101.0;
+  solution.feasible = true;
+  EXPECT_TRUE(VerifyStructure(instance, solution).ok);
+  for (const VerifyOptions& options : Strategies()) {
+    SCOPED_TRACE(Name(options));
+    const VerifyReport report = VerifySolution(instance, solution, options);
+    ASSERT_FALSE(report.ok);
+    EXPECT_EQ(report.failures[0], "customer 0 unreachable from its facility 1")
+        << report.ToString();
+  }
+}
+
+// Path 0 - 1 - 2 - 3 (unit weights); customers at 0 and 2, facilities
+// of capacity 1 at 1 and 3, and the solution serving each by its
+// neighbour.
+struct PathCase {
+  Graph graph;
+  McfsInstance instance;
+  McfsSolution solution;
+};
+
+PathCase MakePathCase() {
+  GraphBuilder builder(4);
+  for (int v = 1; v < 4; ++v) builder.AddEdge(v - 1, v, 1.0);
+  PathCase path{builder.Build(), {}, {}};
+  path.instance.customers = {0, 2};
+  path.instance.facility_nodes = {1, 3};
+  path.instance.capacities = {1, 1};
+  path.instance.k = 2;
+  path.solution.selected = {0, 1};
+  path.solution.assignment = {0, 1};
+  path.solution.distances = {1.0, 1.0};
+  path.solution.objective = 2.0;
+  path.solution.feasible = true;
+  return path;
+}
+
+TEST(VerifyStructureTest, AcceptsCorrectSolution) {
+  PathCase path = MakePathCase();
+  path.instance.graph = &path.graph;
+  EXPECT_TRUE(VerifyStructure(path.instance, path.solution).ok);
+  for (const VerifyOptions& options : Strategies()) {
+    EXPECT_TRUE(VerifySolution(path.instance, path.solution, options).ok)
+        << Name(options);
+  }
+}
+
+TEST(VerifyStructureTest, RejectsDefects) {
+  PathCase path = MakePathCase();
+  path.instance.graph = &path.graph;
+  const McfsInstance& instance = path.instance;
+  const McfsSolution& good = path.solution;
+  {
+    McfsSolution bad = good;  // too many selections
+    bad.selected = {0, 1, 1};
+    EXPECT_FALSE(VerifyStructure(instance, bad).ok);
+  }
+  {
+    McfsSolution bad = good;  // assignment to unselected facility
+    bad.selected = {0};
+    EXPECT_FALSE(VerifyStructure(instance, bad).ok);
+  }
+  {
+    McfsSolution bad = good;  // capacity violation
+    bad.assignment = {0, 0};
+    EXPECT_FALSE(VerifyStructure(instance, bad).ok);
+  }
+  {
+    McfsSolution bad = good;  // objective mismatch
+    bad.objective = 5.0;
+    EXPECT_FALSE(VerifyStructure(instance, bad).ok);
+  }
+  {
+    McfsSolution bad = good;  // wrong recorded distance
+    bad.distances = {1.5, 0.5};
+    EXPECT_TRUE(VerifyStructure(instance, bad).ok)
+        << "only the network re-derivation sees distances";
+    for (const VerifyOptions& options : Strategies()) {
+      EXPECT_FALSE(VerifySolution(instance, bad, options).ok)
+          << Name(options);
+    }
+  }
+  {
+    McfsSolution bad = good;  // feasible flag but unassigned customer
+    bad.assignment = {0, -1};
+    bad.distances = {1.0, 0.0};
+    bad.objective = 1.0;
+    EXPECT_FALSE(VerifyStructure(instance, bad).ok);
+  }
 }
 
 // The full mode reads each facility's Dijkstra into its customers'

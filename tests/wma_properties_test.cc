@@ -6,6 +6,7 @@
 
 #include <algorithm>
 
+#include "mcfs/core/verifier.h"
 #include "mcfs/core/wma.h"
 #include "mcfs/flow/matcher.h"
 #include "tests/test_util.h"
@@ -99,7 +100,7 @@ TEST(WmaPropertyTest, NaiveSeedsProduceValidVariedSolutions) {
     options.naive = true;
     options.seed = seed;
     const WmaResult result = RunWma(ri.instance, options);
-    EXPECT_TRUE(ValidateSolution(ri.instance, result.solution, true).ok);
+    EXPECT_TRUE(VerifySolution(ri.instance, result.solution).ok);
     if (result.solution.feasible) {
       min_obj = std::min(min_obj, result.solution.objective);
       max_obj = std::max(max_obj, result.solution.objective);

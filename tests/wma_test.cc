@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <string>
 
+#include "mcfs/core/verifier.h"
 #include "mcfs/exact/bb_solver.h"
 #include "tests/test_util.h"
 
@@ -41,9 +42,8 @@ TEST(WmaTest, SolvesThePapersRunningExample) {
 
   const WmaResult result = RunWma(instance);
   EXPECT_TRUE(result.solution.feasible);
-  const ValidationResult validation =
-      ValidateSolution(instance, result.solution, /*check_distances=*/true);
-  EXPECT_TRUE(validation.ok) << validation.message;
+  const VerifyReport validation = VerifySolution(instance, result.solution);
+  EXPECT_TRUE(validation.ok) << validation.ToString();
   // The optimum here is {b2, b6} with cost 4+2+4+6 = 16.
   const ExactResult exact = SolveByEnumeration(instance);
   EXPECT_NEAR(exact.solution.objective, 16.0, 1e-9);
@@ -86,10 +86,10 @@ TEST_P(WmaValidityTest, SolutionsAreValid) {
     WmaOptions options;
     options.naive = naive;
     const WmaResult result = RunWma(ri.instance, options);
-    const ValidationResult validation = ValidateSolution(
-        ri.instance, result.solution, /*check_distances=*/true);
+    const VerifyReport validation =
+        VerifySolution(ri.instance, result.solution);
     EXPECT_TRUE(validation.ok)
-        << (naive ? "naive: " : "exact: ") << validation.message;
+        << (naive ? "naive: " : "exact: ") << validation.ToString();
     if (IsFeasible(ri.instance)) {
       EXPECT_TRUE(result.solution.feasible)
           << (naive ? "naive" : "exact")
@@ -131,9 +131,8 @@ TEST(WmaUniformFirstTest, ValidOnNonuniformInstances) {
   for (int trial = 0; trial < 10; ++trial) {
     RandomInstance ri = MakeRandomInstance(60, 12, 10, 4, 10, rng);
     const WmaResult uf = RunUniformFirstWma(ri.instance);
-    const ValidationResult validation = ValidateSolution(
-        ri.instance, uf.solution, /*check_distances=*/true);
-    EXPECT_TRUE(validation.ok) << validation.message;
+    const VerifyReport validation = VerifySolution(ri.instance, uf.solution);
+    EXPECT_TRUE(validation.ok) << validation.ToString();
     if (IsFeasible(ri.instance)) {
       EXPECT_TRUE(uf.solution.feasible);
     }
@@ -206,9 +205,9 @@ TEST(WmaTest, HandlesKGreaterThanNeeded) {
   Rng rng(55);
   RandomInstance ri = MakeRandomInstance(50, 10, 6, 6, 5, rng);
   const WmaResult result = RunWma(ri.instance);
-  const ValidationResult validation =
-      ValidateSolution(ri.instance, result.solution);
-  EXPECT_TRUE(validation.ok) << validation.message;
+  const VerifyReport validation =
+      VerifySolution(ri.instance, result.solution);
+  EXPECT_TRUE(validation.ok) << validation.ToString();
 }
 
 TEST(WmaTest, MultipleCustomersPerNode) {
@@ -224,7 +223,7 @@ TEST(WmaTest, MultipleCustomersPerNode) {
   instance.k = 2;
   const WmaResult result = RunWma(instance);
   EXPECT_TRUE(result.solution.feasible);
-  EXPECT_TRUE(ValidateSolution(instance, result.solution, true).ok);
+  EXPECT_TRUE(VerifySolution(instance, result.solution).ok);
 }
 
 }  // namespace
