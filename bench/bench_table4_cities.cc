@@ -1,6 +1,7 @@
 // Reproduces Table IV: the four city networks with uniform capacities,
-// m = 512 customers, k = 51 facilities, c = 20, F_p = V (every node a
-// candidate). The paper reports objective / runtime for BRNN, Hilbert,
+// m = 512 customers, k = 51 facilities (from scale 0.25 on; smaller
+// scales draw fewer, and the banner prints the drawn m and k), c = 20,
+// F_p = V (every node a candidate). The paper reports objective / runtime for BRNN, Hilbert,
 // WMA Naive and WMA; Gurobi never terminates at this candidate-set size
 // — and neither does our exact solver, by design.
 //
@@ -9,6 +10,7 @@
 // Vegas, where clustering approaches do well; BRNN is far worse.
 
 #include <algorithm>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "mcfs/graph/road_network.h"
@@ -18,8 +20,13 @@ int main(int argc, char** argv) {
   using namespace mcfs;
   const Flags flags(argc, argv);
   const auto bench = bench_util::BenchConfig::FromFlags(flags, 0.04);
-  bench_util::Banner(
-      "Table IV: city networks, m=512, k=51, c=20, l=n (scaled)", bench);
+  // m = 512 * min(1, 4 * scale), at least 32: the paper's m = 512, k = 51
+  // from scale 0.25 on, m = 81, k = 8 at the default 0.04.
+  const int m = std::max(32, static_cast<int>(512 * std::min(1.0, 4 * bench.scale)));
+  const int k = std::max(4, m / 10);
+  bench_util::Banner("Table IV: city networks, m=" + std::to_string(m) +
+                         ", k=" + std::to_string(k) + ", c=20, l=n (scaled)",
+                     bench);
 
   const CityOptions presets[] = {
       AalborgPreset(bench.scale, bench.seed),
@@ -27,10 +34,6 @@ int main(int argc, char** argv) {
       CopenhagenPreset(bench.scale, bench.seed + 2),
       LasVegasPreset(bench.scale, bench.seed + 3),
   };
-  // Customers/facilities scale with sqrt(scale) so density stays sane.
-  const int m = std::max(32, static_cast<int>(512 * std::min(1.0, 4 * bench.scale)));
-  const int k = std::max(4, m / 10);
-
   bench_util::SweepTable table("city");
   for (const CityOptions& preset : presets) {
     const Graph city = GenerateCity(preset);

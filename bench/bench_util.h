@@ -24,11 +24,10 @@ namespace bench_util {
 //   --exact_seconds=S  budget for the exact reference solver
 //   --threads=N parallelism cap (default 1: serial, contention-free
 //               per-cell timings; 0 = MCFS_THREADS / hardware default).
-//               With --metrics (the default) cells run one at a time
-//               and each WMA final assignment prefetches on N threads;
-//               with --metrics=false cells run on N threads and every
-//               nested prefetch runs inline. Objectives are identical
-//               either way.
+//               With --metrics (the default) cells run one at a time,
+//               so N has no effect (every solve is serial); with
+//               --metrics=false cells run on N threads. Objectives are
+//               identical either way.
 //   --metrics=BOOL  per-cell counter/distribution collection via the obs
 //               registry (default true; --metrics=false for raw speed)
 //   --report-out=PATH  structured JSON run report (default

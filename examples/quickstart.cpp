@@ -39,12 +39,8 @@ int main() {
   std::printf("instance: m=%d customers, l=%d candidates, k=%d, o=%.2f\n",
               instance.m(), instance.l(), instance.k, instance.Occupancy());
 
-  // 3. Solve with WMA. threads = 0 picks up MCFS_THREADS (or the
-  //    hardware default) and parallelizes the candidate-stream prefetch
-  //    that opens the final assignment; the solution is bit-identical
-  //    to threads = 1.
+  // 3. Solve with WMA (serial; see DESIGN.md §4.5).
   WmaOptions wma_options;
-  wma_options.threads = 0;
   // Turn on the instrumentation layer for this run: counters accumulate
   // in the process-wide registry and the result carries per-phase and
   // per-iteration statistics (the structured run report of step 7).
@@ -105,7 +101,7 @@ int main() {
   const obs::MetricsSnapshot metrics = obs::SnapshotMetrics();
   for (const char* key :
        {"stream/nodes_settled", "stream/edges_relaxed",
-        "exec/stream/prefetch_hits", "exec/stream/prefetch_misses",
+        "exec/stream/candidates_discovered",
         "cover/candidates_scanned"}) {
     const auto it = metrics.counters.find(key);
     if (it != metrics.counters.end()) {

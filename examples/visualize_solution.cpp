@@ -20,6 +20,19 @@
 #include "mcfs/graph/road_network.h"
 #include "mcfs/workload/yelp_sim.h"
 
+namespace {
+
+// Closes one CSV layer. False, with a message naming the file, when it
+// could not be opened or written.
+bool CloseCsv(std::ofstream& out, const std::string& path) {
+  out.close();
+  if (!out.fail()) return true;
+  std::fprintf(stderr, "export failed: could not write %s\n", path.c_str());
+  return false;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace mcfs;
   const Flags flags(argc, argv);
@@ -51,13 +64,15 @@ int main(int argc, char** argv) {
 
   // --- CSV layers ---
   {
-    std::ofstream out(prefix + "_customers.csv");
+    const std::string path = prefix + "_customers.csv";
+    std::ofstream out(path);
     out << "x,y,assigned_facility,distance\n";
     for (int i = 0; i < instance.m(); ++i) {
       const Point& p = city.coordinate(instance.customers[i]);
       out << p.x << ',' << p.y << ',' << result.solution.assignment[i]
           << ',' << result.solution.distances[i] << '\n';
     }
+    if (!CloseCsv(out, path)) return 1;
   }
   {
     std::vector<uint8_t> selected(instance.l(), 0);
@@ -66,16 +81,19 @@ int main(int argc, char** argv) {
     for (const int j : result.solution.assignment) {
       if (j >= 0) load[j]++;
     }
-    std::ofstream out(prefix + "_facilities.csv");
+    const std::string path = prefix + "_facilities.csv";
+    std::ofstream out(path);
     out << "x,y,selected,load,capacity\n";
     for (int j = 0; j < instance.l(); ++j) {
       const Point& p = city.coordinate(instance.facility_nodes[j]);
       out << p.x << ',' << p.y << ',' << static_cast<int>(selected[j])
           << ',' << load[j] << ',' << instance.capacities[j] << '\n';
     }
+    if (!CloseCsv(out, path)) return 1;
   }
   {
-    std::ofstream out(prefix + "_edges.csv");
+    const std::string path = prefix + "_edges.csv";
+    std::ofstream out(path);
     out << "x1,y1,x2,y2\n";
     for (NodeId u = 0; u < city.NumNodes(); ++u) {
       const Point& a = city.coordinate(u);
@@ -86,6 +104,7 @@ int main(int argc, char** argv) {
         }
       }
     }
+    if (!CloseCsv(out, path)) return 1;
   }
 
   // --- reloadable artifacts ---

@@ -96,7 +96,7 @@ McfsSolution RunBrnnBaseline(const McfsInstance& instance) {
   }
 
   CoverComponents(instance, selected);
-  return AssignOptimally(instance, selected, /*threads=*/1);
+  return AssignOptimally(instance, selected);
 }
 
 }  // namespace mcfs

@@ -63,7 +63,7 @@ McfsSolution RunGreedyKMedian(const McfsInstance& instance,
     SelectGreedy(instance, selected);
   }
   CoverComponents(instance, selected);
-  return AssignOptimally(instance, selected, /*threads=*/1);
+  return AssignOptimally(instance, selected);
 }
 
 }  // namespace mcfs

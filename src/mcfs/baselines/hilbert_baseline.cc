@@ -157,7 +157,7 @@ McfsSolution RunHilbertBaseline(const McfsInstance& instance) {
     SelectGreedy(instance, selected);
   }
   CoverComponents(instance, selected);
-  return AssignOptimally(instance, selected, /*threads=*/1);
+  return AssignOptimally(instance, selected);
 }
 
 }  // namespace mcfs

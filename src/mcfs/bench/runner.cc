@@ -41,12 +41,9 @@ std::vector<AlgoOutcome> RunSuite(const McfsInstance& instance,
   // Build the enabled cells first (paper's table order), then execute
   // them as one parallel point sweep: every cell only reads the shared
   // instance and writes its own outcome slot, so the outcome vector is
-  // identical for any thread count. WMA variants inherit suite.threads
-  // for their final assignment's stream prefetch; when cells themselves
-  // run on the pool, that nested prefetch runs inline.
+  // identical for any thread count.
   WmaOptions wma_options;
   wma_options.seed = suite.seed;
-  wma_options.threads = suite.threads;
   // Iteration rows are cheap (a handful of scalars per iteration), and
   // the suite exists to produce reports — always collect them.
   wma_options.collect_iteration_stats = true;
@@ -155,9 +152,7 @@ std::vector<AlgoOutcome> RunSuite(const McfsInstance& instance,
   std::vector<AlgoOutcome> outcomes(cells.size());
   if (suite.metrics) {
     // Serial cells with a registry reset between them: every counter in
-    // a cell's snapshot was incremented by that cell alone. The cells
-    // run inline (not on the pool), so each WMA final assignment's
-    // prefetch still fans out across suite.threads.
+    // a cell's snapshot was incremented by that cell alone.
     for (size_t c = 0; c < cells.size(); ++c) {
       obs::ResetMetrics();
       outcomes[c] = cells[c]();

@@ -36,8 +36,8 @@ struct AlgoOutcome {
   WmaStats wma_stats;
   // Counters and distributions attributed to exactly this cell: with
   // metrics on, RunSuite runs cells serially and resets the registry
-  // between them, so the snapshot is the cell's own work (the WMA final
-  // assignment's prefetch still parallelizes). Empty with metrics off.
+  // between them, so the snapshot is the cell's own work. Empty with
+  // metrics off.
   obs::MetricsSnapshot metrics;
 };
 
@@ -67,10 +67,9 @@ struct AlgorithmSuite {
   ExactOptions exact_options;
   uint64_t seed = 42;
   // Threads for the suite. With metrics off, independent (instance,
-  // algorithm) cells run concurrently on the shared pool and every
-  // nested prefetch runs inline; with metrics on, cells run one at a
-  // time and each WMA final assignment prefetches on this many
-  // threads. Default 1 keeps the per-cell runtimes contention-free
+  // algorithm) cells run concurrently on the shared pool; with metrics
+  // on, cells run one at a time, so this has no effect (every solve is
+  // serial). Default 1 keeps the per-cell runtimes contention-free
   // (comparable, as the figures require); raise it (bench binaries:
   // --threads=N) to trade timing fidelity for wall-clock. Objectives
   // and solutions are identical for every value.

@@ -2,7 +2,6 @@
 
 #include <numeric>
 
-#include "mcfs/common/thread_pool.h"
 #include "mcfs/flow/matcher.h"
 
 namespace mcfs {
@@ -52,7 +51,7 @@ McfsSolution SolutionFromPairs(const McfsInstance& instance,
 }  // namespace
 
 McfsSolution AssignOptimally(const McfsInstance& instance,
-                             const std::vector<int>& selected, int threads) {
+                             const std::vector<int>& selected) {
   std::vector<NodeId> nodes;
   std::vector<int> capacities;
   nodes.reserve(selected.size());
@@ -63,22 +62,12 @@ McfsSolution AssignOptimally(const McfsInstance& instance,
   }
   IncrementalMatcher sspa(instance.graph, instance.customers, nodes,
                           capacities);
-  return AssignWithMatcher(instance, selected, sspa, threads);
+  return AssignWithMatcher(instance, selected, sspa);
 }
 
 McfsSolution AssignWithMatcher(const McfsInstance& instance,
                                const std::vector<int>& selected,
-                               IncrementalMatcher& matcher, int threads) {
-  if (ResolveThreadCount(threads) > 1) {
-    // Every still-unassigned customer needs one assignment plus the
-    // threshold lookahead; front-load those two stream entries in one
-    // parallel burst. On a fresh matcher every customer qualifies.
-    std::vector<int> counts(instance.m(), 0);
-    for (int i = 0; i < instance.m(); ++i) {
-      if (matcher.CustomerMatchCount(i) < 1) counts[i] = 2;
-    }
-    matcher.PrefetchCandidates(counts, threads);
-  }
+                               IncrementalMatcher& matcher) {
   bool all_ok = true;
   for (int i = 0; i < instance.m(); ++i) {
     if (matcher.CustomerMatchCount(i) >= 1) continue;  // warm-adopted

@@ -62,27 +62,23 @@ bool IsFeasible(const McfsInstance& instance);
 // (minimum-cost transportation over the network) and packages the
 // result as a solution. If some customers cannot be assigned, the
 // solution has feasible == false and contains the partial assignment.
-// `threads` sizes the one parallel burst that front-loads every
-// customer's first nearest-facility stream entries before the serial
-// matching (0 = MCFS_THREADS / hardware default, 1 = serial); the
-// assignment is identical for every thread count. Runs
-// AssignWithMatcher on a fresh IncrementalMatcher.
+// Serial: each customer's FindPair expands its nearest-facility stream
+// only as far as the Theorem-1 threshold needs, usually one entry.
+// Runs AssignWithMatcher on a fresh IncrementalMatcher.
 McfsSolution AssignOptimally(const McfsInstance& instance,
-                             const std::vector<int>& selected,
-                             int threads = 1);
+                             const std::vector<int>& selected);
 
 class IncrementalMatcher;
 
 // Core of AssignOptimally on a caller-prepared matcher whose facility
 // list is exactly the `selected` subset (in order), and the one batch
-// SSPA path. Prefetches and runs FindPair only for customers whose
-// demand is still unsatisfied, so a warm-resumed matcher
-// (flow/matcher.h ResumeFrom) pays only for the customers a delta
-// invalidated; on a fresh matcher this is exactly AssignOptimally's
-// kSspa path.
+// SSPA path. Runs FindPair only for customers whose demand is still
+// unsatisfied, so a warm-resumed matcher (flow/matcher.h ResumeFrom)
+// pays only for the customers a delta invalidated; on a fresh matcher
+// this is exactly AssignOptimally.
 McfsSolution AssignWithMatcher(const McfsInstance& instance,
                                const std::vector<int>& selected,
-                               IncrementalMatcher& matcher, int threads = 1);
+                               IncrementalMatcher& matcher);
 
 }  // namespace mcfs
 

@@ -50,8 +50,7 @@ LocalSearchResult ImproveByLocalSearch(const McfsInstance& instance,
     }
     CoverComponents(instance, selected);
   }
-  McfsSolution best =
-      AssignOptimally(instance, selected, /*threads=*/1);
+  McfsSolution best = AssignOptimally(instance, selected);
   if (!best.feasible && start.feasible) {
     best = start;  // repair hurt; keep the original
     selected = start.selected;
@@ -137,8 +136,7 @@ LocalSearchResult ImproveByLocalSearch(const McfsInstance& instance,
       std::vector<int> trial = selected;
       std::replace(trial.begin(), trial.end(), move.out, move.in);
       ++result.moves_evaluated;
-      const McfsSolution candidate =
-          AssignOptimally(instance, trial, /*threads=*/1);
+      const McfsSolution candidate = AssignOptimally(instance, trial);
       if (!candidate.feasible) continue;
       const double gain = best.objective - candidate.objective;
       if (gain > best_gain) {

@@ -283,10 +283,10 @@ WmaResult RunWma(const McfsInstance& instance, const WmaOptions& options) {
     // enrichment iterations for a good partial cover and stop.
     max_iterations = std::min<int64_t>(max_iterations, 8);
   }
-  // The loop is serial at every thread count: each FindPair depends on
-  // the matches before it, and a per-iteration parallel stream prefetch
-  // measured slower than paying each Dijkstra inline (DESIGN.md §4.5).
-  // options.threads sizes only the final assignment's one-shot burst.
+  // The solve is serial: each FindPair depends on the matches before it,
+  // and a parallel stream prefetch measured slower than paying each
+  // Dijkstra inline, in the loop and in the final assignment alike
+  // (DESIGN.md §4.5). options.threads has no effect.
   std::vector<int> changed_facilities;
   CoverResult cover;
   setup_span.reset();
@@ -418,8 +418,7 @@ WmaResult RunWma(const McfsInstance& instance, const WmaOptions& options) {
       if (!result.solution.feasible) {
         // Greedy assignment can dead-end on feasible instances (capacity
         // grabbed by the wrong customers); fall back to one matching.
-        result.solution =
-            AssignOptimally(instance, selected, options.threads);
+        result.solution = AssignOptimally(instance, selected);
       }
     } else {
       std::vector<NodeId> selected_nodes;
@@ -475,9 +474,7 @@ WmaResult RunWma(const McfsInstance& instance, const WmaOptions& options) {
         // selected subset instead of new streams starting from scratch.
         final_matcher->InheritStreams(*matcher);
       }
-      result.solution =
-          AssignWithMatcher(instance, selected, *final_matcher,
-                            options.threads);
+      result.solution = AssignWithMatcher(instance, selected, *final_matcher);
     }
   }
   if (seed_out != nullptr) {
@@ -542,14 +539,12 @@ WmaResult RunUniformFirstWma(const McfsInstance& instance,
   CoverComponents(instance, selected);
   WmaResult result;
   result.stats = phase1.stats;
-  result.solution =
-      AssignOptimally(instance, selected, options.threads);
+  result.solution = AssignOptimally(instance, selected);
   if (!result.solution.feasible) {
     // A second repair attempt with greedy extension, then reassign.
     SelectGreedy(instance, selected);
     CoverComponents(instance, selected);
-    result.solution =
-        AssignOptimally(instance, selected, options.threads);
+    result.solution = AssignOptimally(instance, selected);
   }
   // Phase 1 judged feasibility of the *uniform* pretense; re-derive the
   // verdict for the true instance, keeping any deadline cut from it.

@@ -61,13 +61,9 @@ struct WmaOptions {
   bool collect_iteration_stats = false;
   // Safety cap on main-loop iterations; 0 derives the paper's m*l bound.
   int max_iterations = 0;
-  // Threads for the one parallel burst of a solve: the nearest-facility
-  // stream prefetch that opens the final batch assignment. The
-  // demand-growth loop is serial at every value. 0 resolves via
-  // MCFS_THREADS / hardware_concurrency, 1 (or negative) is fully
-  // serial. Results are bit-identical for every value — parallelism
-  // only moves when distances are computed, never which entry the
-  // matcher consumes next (see DESIGN.md "Parallel execution layer").
+  // Has no effect: every solve is serial (DESIGN.md §4.5). Kept only
+  // so that callers which still assign it compile (the perfbench
+  // harness sets it); benchmark v2 deletes it with `matcher`.
   int threads = 0;
   // Turn on the process-wide obs MetricsRegistry for this run (same as
   // exporting MCFS_METRICS=1): hot-path counters and phase-time
@@ -148,9 +144,8 @@ struct WmaStats {
   int64_t label_correcting_runs = 0;
   double matching_seconds = 0.0;
   double cover_seconds = 0.0;
-  // Retired: always 0. The only prefetch, the final assignment's burst,
-  // is counted in final_assign_seconds. Kept for readers that still
-  // print it.
+  // Retired: always 0, because WMA runs no stream prefetch. Kept for
+  // readers that still print it.
   double prefetch_seconds = 0.0;
   // The single assignment of every customer to the selected facilities
   // that closes the algorithm.

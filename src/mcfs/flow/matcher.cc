@@ -256,33 +256,65 @@ IncrementalMatcher::SearchResult IncrementalMatcher::RunSearch(
   // Theorem-1 threshold: min over reached customers v of
   //   v.dist + nnDist(v) - v.p,
   // where unsettled (frontier) customers use the sink distance as a
-  // valid lower bound for v.dist.
-  result.threshold = kInfDistance;
-  result.threshold_customer = -1;
-  // The naive (SIA-style) bound replaces the per-customer potential with
-  // a single global one, so it is never tighter than Theorem 1:
-  //   naive = min_v (v.dist + nnDist(v)) - max_v potential[v].
-  double naive_min_reach = kInfDistance;
-  double naive_max_potential = 0.0;
-  for (const int v : touched_) {
-    if (v >= m_) continue;
-    naive_max_potential = std::max(naive_max_potential, potential_[v]);
-    const double nn_dist = StreamFor(v).PeekDistance();
-    if (nn_dist == kInfDistance) continue;
+  // valid lower bound for v.dist. One scan reads every stream's
+  // PeekLowerBound(), which costs no Dijkstra work and is exact when the
+  // next distance is already known. The minimum over the bounds bounds
+  // the threshold from below: a sink that meets it is accepted with no
+  // peek at all. Otherwise only customers whose bound was inexact and
+  // can still be the first minimum are peeked. Floating-point sums are
+  // monotone, so this finds the same minimum and the same first argmin
+  // in touched_ order as peeking every customer.
+  const auto term = [&](int v, double nn_dist) {
     double v_dist = dist_[v];
     if (!settled_[v] && result.sink_facility != -1) {
       v_dist = std::min(v_dist, result.sink_distance);
     }
-    naive_min_reach = std::min(naive_min_reach, v_dist + nn_dist);
-    const double value = v_dist + nn_dist - potential_[v];
-    if (value < result.threshold) {
+    return v_dist + nn_dist - potential_[v];
+  };
+  double bound = kInfDistance;
+  result.threshold = kInfDistance;
+  result.threshold_customer = -1;
+  int argmin_pos = -1;  // position of threshold_customer in touched_
+  unresolved_.clear();
+  for (int pos = 0; pos < static_cast<int>(touched_.size()); ++pos) {
+    const int v = touched_[pos];
+    if (v >= m_) continue;
+    const NearestFacilityStream& stream = StreamFor(v);
+    const double nn_bound = stream.PeekLowerBound();
+    if (nn_bound == kInfDistance) continue;
+    const double value = term(v, nn_bound);
+    bound = std::min(bound, value);
+    if (!stream.LowerBoundIsExact()) {
+      unresolved_.push_back({pos, value});
+    } else if (value < result.threshold) {
       result.threshold = value;
       result.threshold_customer = v;
+      argmin_pos = pos;
     }
   }
-  result.naive_threshold = naive_min_reach == kInfDistance
-                               ? kInfDistance
-                               : naive_min_reach - naive_max_potential;
+  if (result.sink_facility != -1 && result.sink_distance <= bound + kEps) {
+    // The sink meets a lower bound of the threshold, so FindPair
+    // augments and no stream has to grow.
+    result.threshold = bound;
+    result.threshold_customer = -1;
+  } else {
+    for (const auto& [pos, value_bound] : unresolved_) {
+      if (value_bound > result.threshold ||
+          (value_bound == result.threshold && pos > argmin_pos)) {
+        continue;  // its exact value cannot be the first minimum
+      }
+      const int v = touched_[pos];
+      const double nn_dist = StreamFor(v).PeekDistance();
+      if (nn_dist == kInfDistance) continue;
+      const double value = term(v, nn_dist);
+      if (value < result.threshold ||
+          (value == result.threshold && pos < argmin_pos)) {
+        result.threshold = value;
+        result.threshold_customer = v;
+        argmin_pos = pos;
+      }
+    }
+  }
 
   MCFS_COUNT("matcher/searches", 1);
   if (!exact) MCFS_COUNT("matcher/label_correcting_searches", 1);
@@ -376,13 +408,11 @@ bool IncrementalMatcher::FindPair(int customer) {
     if (have_sink && found.sink_distance <= found.threshold + kEps) {
       if (found.threshold != kInfDistance) {
         // The streams still held undiscovered facilities, yet Theorem 1
-        // proved none of them can shorten this path: one prune.
+        // proved none of them can shorten this path: one prune. (A stream
+        // whose Dijkstra has run dry without having noticed yet still
+        // counts as holding some; see DESIGN.md §4.6.)
         ++num_theorem1_prunes_;
         MCFS_COUNT("matcher/theorem1_prunes", 1);
-        if (found.sink_distance > found.naive_threshold + kEps) {
-          // The looser SIA-style bound would have kept materializing.
-          MCFS_COUNT("matcher/theorem1_savings_vs_naive", 1);
-        }
       }
       Augment(customer, found);
       UpdatePotentials(found.sink_distance);

@@ -113,8 +113,7 @@ class IncrementalMatcher {
   // Returns false if some customer could not be assigned.
   bool MatchAllOnce();
 
-  // Batched parallel prefetch (the batch assignment's opening burst,
-  // AssignWithMatcher): for every customer i with counts[i] > 0,
+  // Batched parallel prefetch: for every customer i with counts[i] > 0,
   // ensures its nearest-facility stream has at least counts[i]
   // candidates buffered, advancing the resumable per-customer Dijkstras
   // across up to `threads` threads (0 = the MCFS_THREADS / hardware
@@ -122,7 +121,9 @@ class IncrementalMatcher {
   // instead of paying Dijkstra latency inline.
   // Deterministic: each stream's candidate sequence is a pure function
   // of the graph, so prefetching only moves work earlier — FindPair
-  // materializes the exact same edges in the exact same order.
+  // materializes the exact same edges in the exact same order. No solve
+  // calls it (a FindPair usually needs one entry per customer, which
+  // the burst cannot beat); BM_MatcherPrefetch measures it.
   void PrefetchCandidates(const std::vector<int>& counts, int threads = 0);
 
   int num_customers() const { return m_; }
@@ -252,13 +253,12 @@ class IncrementalMatcher {
   struct SearchResult {
     int sink_facility = -1;       // facility index, -1 if none reachable
     double sink_distance = 0.0;   // reduced path length to the sink
-    double threshold = 0.0;       // Theorem-1 bound; kInfDistance if none
+    // Theorem-1 bound, kInfDistance if none. When the sink meets a
+    // lower bound of it taken from the streams' PeekLowerBound(), that
+    // bound instead (FindPair augments either way) and no
+    // threshold_customer.
+    double threshold = 0.0;
     int threshold_customer = -1;  // argmin customer for materialization
-    // SIA-style looser lower bound computed alongside the Theorem-1
-    // threshold (min over customers of dist + nnDist, potentials bounded
-    // globally instead of per node); used only for the
-    // matcher/theorem1_savings_vs_naive counter.
-    double naive_threshold = 0.0;
   };
 
   int GbFacilityNode(int facility) const { return m_ + facility; }
@@ -349,6 +349,9 @@ class IncrementalMatcher {
   std::vector<int> parent_;  // predecessor encoding, see Search()
   std::vector<uint8_t> settled_;
   std::vector<int> touched_;
+  // (touched_ position, threshold term at the stream's lower bound) of
+  // the customers whose bound was inexact in the last threshold scan.
+  std::vector<std::pair<int, double>> unresolved_;
   // Hoisted G_b search heap: cleared (capacity kept) at the start of
   // every Search, so FindPair pays no heap allocation per call.
   DaryHeap<GbHeapEntry, 4, GbHeapEntryLess> search_heap_;

@@ -71,6 +71,7 @@ bool NearestFacilityStream::AdvanceOne() {
       seeded_next_.reset();
       return false;
     }
+    reached_distance_ = std::max(reached_distance_, settled->distance);
     const int facility = (*facility_index_of_node_)[settled->node];
     if (facility >= 0) {
       if (fast_forward_remaining_ > 0) {
@@ -120,6 +121,7 @@ std::optional<FacilityAtDistance> NearestFacilityStream::Pop() {
   const bool was_buffered = BufferedCount() > 0;
   if (!was_buffered && !AdvanceOne()) return std::nullopt;
   const BufferedCandidate entry = buffer_[buffer_head_];
+  reached_distance_ = std::max(reached_distance_, entry.candidate.distance);
   ++buffer_head_;
   if (buffer_head_ == buffer_.size()) {
     // Drained: rewind so the retained capacity is reused in place.

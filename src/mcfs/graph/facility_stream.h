@@ -43,8 +43,8 @@ struct StreamSeed {
 // non-decreasing network-distance order, lazily expanding an
 // IncrementalDijkstra. This is the "next NN of x in G" primitive of
 // Algorithm 2 (FindPair): the matcher pops one facility at a time to
-// materialize one new bipartite edge, and peeks the next distance to
-// evaluate the Theorem-1 pruning threshold.
+// materialize one new bipartite edge, and bounds or peeks the next
+// distance to evaluate the Theorem-1 pruning threshold.
 //
 // The stream separates *advancing* (running the Dijkstra to discover
 // more facilities, buffered internally) from *consuming* (Pop). The
@@ -92,6 +92,23 @@ class NearestFacilityStream {
   // facility, or kInfDistance when the customer's component has no more
   // candidate facilities.
   double PeekDistance();
+
+  // A lower bound on PeekDistance() that never advances the Dijkstra:
+  // the buffered head, the seed-known next distance, or kInfDistance
+  // once the stream is known to be exhausted (each equal to
+  // PeekDistance()); otherwise the farthest distance the stream has
+  // served or its Dijkstra has settled, which every later discovery
+  // reaches or exceeds.
+  double PeekLowerBound() const {
+    if (BufferedCount() > 0) return buffer_[buffer_head_].candidate.distance;
+    if (seeded_next_.has_value()) return *seeded_next_;
+    if (exhausted_) return kInfDistance;
+    return reached_distance_;
+  }
+  // True when PeekLowerBound() equals PeekDistance().
+  bool LowerBoundIsExact() const {
+    return BufferedCount() > 0 || seeded_next_.has_value() || exhausted_;
+  }
 
   // Consumes and returns the next nearest candidate facility.
   std::optional<FacilityAtDistance> Pop();
@@ -182,6 +199,12 @@ class NearestFacilityStream {
   // Seed-known distance of the first post-buffer discovery; cleared the
   // moment the Dijkstra actually reaches new ground.
   std::optional<double> seeded_next_;
+  // Largest distance served by Pop() or settled by the Dijkstra: no
+  // undiscovered candidate is nearer (PeekLowerBound). Narrow keeps it,
+  // because every entry of the narrowed sequence that is not yet served
+  // either waits in the buffer or is discovered after all of the old
+  // sequence.
+  double reached_distance_ = 0.0;
   // Cumulative Dijkstra work already charged to popped candidates.
   int64_t attributed_settled_ = 0;
   int64_t attributed_relaxed_ = 0;

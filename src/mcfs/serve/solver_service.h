@@ -82,12 +82,11 @@ struct ServiceOptions {
   // full request (customers, k, subset). 0 disables the cache.
   int cache_capacity = 128;
   // Base solver options applied to every request (seed, tie-break,
-  // threads for the final assignment's prefetch, metrics...). The per-request
-  // deadline_ms and cancel fields are overridden per request; the
-  // `deadline` object is NOT — it is copied into every solve (each copy
-  // gets its own poll budget), which is how the fault-injection tests
-  // plant a deterministic Deadline::AfterPolls(n) expiry inside served
-  // solves.
+  // metrics...). The per-request deadline_ms and cancel fields are
+  // overridden per request; the `deadline` object is NOT — it is copied
+  // into every solve (each copy gets its own poll budget), which is how
+  // the fault-injection tests plant a deterministic
+  // Deadline::AfterPolls(n) expiry inside served solves.
   WmaOptions wma;
 
   // --- Observability v2 (DESIGN.md §4.11) ---

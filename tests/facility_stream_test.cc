@@ -277,6 +277,134 @@ TEST_P(FacilityStreamNarrowTest, NarrowedSeededStreamEqualsAFreshSubsetStream) {
 INSTANTIATE_TEST_SUITE_P(RandomSweep, FacilityStreamNarrowTest,
                          ::testing::Range(0, 30));
 
+// --- The Theorem-1 lower bound (NearestFacilityStream::PeekLowerBound) ---
+
+int64_t CandidatesDiscovered() {
+  const obs::MetricsSnapshot snapshot = obs::SnapshotMetrics();
+  const auto it = snapshot.counters.find("exec/stream/candidates_discovered");
+  return it == snapshot.counters.end() ? 0 : it->second;
+}
+
+// Peeks, bounds and pops until the stream is exhausted. At every step
+// PeekLowerBound() discovers nothing, stays at or below PeekDistance(),
+// and equals it (bitwise) whenever the next distance is known without
+// Dijkstra work: an entry is buffered, a seeded next distance is
+// pending, or the stream is known to be exhausted, exactly when
+// LowerBoundIsExact() says so. Needs metrics on.
+void ExpectLowerBoundWhileDraining(NearestFacilityStream& stream) {
+  while (true) {
+    const bool known = stream.BufferedCount() > 0 ||
+                       stream.KnownNextDistance().has_value() ||
+                       stream.DijkstraExhausted();
+    ASSERT_EQ(stream.LowerBoundIsExact(), known);
+    const int64_t discovered = CandidatesDiscovered();
+    const double bound = stream.PeekLowerBound();
+    ASSERT_EQ(CandidatesDiscovered(), discovered);
+    const double peek = stream.PeekDistance();
+    ASSERT_LE(bound, peek);
+    if (known) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(bound), std::bit_cast<uint64_t>(peek));
+    }
+    if (!stream.Pop().has_value()) break;
+  }
+  // Popping past the end proved the stream exhausted.
+  EXPECT_EQ(stream.PeekLowerBound(), kInfDistance);
+}
+
+class FacilityStreamBoundTest : public ::testing::TestWithParam<int> {};
+
+// Fresh, narrowed (paused after every pop count) and seeded streams.
+TEST_P(FacilityStreamBoundTest, LowerBoundIsFreeAndNeverExceedsThePeek) {
+  obs::EnableMetrics(true);
+  const NarrowFixture f(2900 + GetParam(), /*empty_subset=*/false);
+  {
+    SCOPED_TRACE("fresh");
+    NearestFacilityStream stream(&f.graph, f.customer, &f.super_map);
+    ExpectLowerBoundWhileDraining(stream);
+  }
+  const std::vector<FacilityAtDistance> full =
+      FullSequence(f.graph, f.customer, f.super_map);
+  const int total = static_cast<int>(full.size());
+  for (int pause = 0; pause <= total + 1; ++pause) {
+    SCOPED_TRACE("narrowed, pause=" + std::to_string(pause));
+    NearestFacilityStream stream(&f.graph, f.customer, &f.super_map);
+    std::vector<FacilityAtDistance> consumed;
+    for (int p = 0; p < pause; ++p) {
+      if (p % 2 == 1) stream.PeekDistance();
+      if (std::optional<FacilityAtDistance> next = stream.Pop()) {
+        consumed.push_back(*next);
+      }
+    }
+    stream.Narrow(&f.sub_map, f.Prefix(consumed, stream));
+    ExpectLowerBoundWhileDraining(stream);
+  }
+  // Seeds of q consumed (skip_discoveries) and b buffered discoveries,
+  // with and without the next distance known, narrowed or not.
+  for (const int q : {0, 1, total / 2, total}) {
+    for (const int b : {0, 1, (total - q) / 2}) {
+      if (q + b > total) continue;
+      for (const bool has_next : {false, true}) {
+        for (const bool narrow : {false, true}) {
+          SCOPED_TRACE("seeded, q=" + std::to_string(q) +
+                       " b=" + std::to_string(b) +
+                       " has_next=" + std::to_string(has_next) +
+                       " narrow=" + std::to_string(narrow));
+          StreamSeed seed;
+          seed.skip_discoveries = q;
+          seed.buffered.assign(full.begin() + q, full.begin() + q + b);
+          seed.exhausted = q + b == total;
+          if (has_next && q + b < total) {
+            seed.has_next = true;
+            seed.next_distance = full[q + b].distance;
+          }
+          NearestFacilityStream stream(&f.graph, f.customer, &f.super_map,
+                                       seed);
+          if (narrow) {
+            const std::vector<FacilityAtDistance> consumed(
+                full.begin(), full.begin() + q);
+            stream.Narrow(&f.sub_map, f.Prefix(consumed, stream));
+          }
+          ExpectLowerBoundWhileDraining(stream);
+        }
+      }
+    }
+  }
+  obs::EnableMetrics(false);
+  obs::ResetMetrics();
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSweep, FacilityStreamBoundTest,
+                         ::testing::Range(0, 20));
+
+// With nothing buffered the bound is the frontier the stream has
+// reached: the last served distance, then the last settled one.
+TEST(FacilityStreamTest, LowerBoundTracksTheReachedFrontier) {
+  // Path 0 - 1 - 2 - 3 - 4 with unit weights, facilities on 1 and 4.
+  GraphBuilder builder(5);
+  for (int v = 1; v < 5; ++v) builder.AddEdge(v - 1, v, 1.0);
+  const Graph graph = builder.Build();
+  const std::vector<int> map = {-1, 0, -1, -1, 1};
+  NearestFacilityStream stream(&graph, 0, &map);
+  EXPECT_DOUBLE_EQ(stream.PeekLowerBound(), 0.0);
+  ASSERT_TRUE(stream.Pop().has_value());
+  EXPECT_DOUBLE_EQ(stream.PeekLowerBound(), 1.0);
+  EXPECT_DOUBLE_EQ(stream.PeekDistance(), 4.0);
+  EXPECT_DOUBLE_EQ(stream.PeekLowerBound(), 4.0);
+  ASSERT_TRUE(stream.Pop().has_value());
+  EXPECT_DOUBLE_EQ(stream.PeekLowerBound(), 4.0);
+  EXPECT_FALSE(stream.Pop().has_value());
+  EXPECT_EQ(stream.PeekLowerBound(), kInfDistance);
+
+  // A seeded stream serves its seed before its Dijkstra starts: the
+  // frontier is what it served.
+  StreamSeed seed;
+  seed.buffered = {{0, 1.0}};
+  NearestFacilityStream seeded(&graph, 0, &map, seed);
+  ASSERT_TRUE(seeded.Pop().has_value());
+  EXPECT_DOUBLE_EQ(seeded.PeekLowerBound(), 1.0);
+  EXPECT_DOUBLE_EQ(seeded.PeekDistance(), 4.0);
+}
+
 // Re-served entries were paid for before narrowing: popping them
 // charges no logical Dijkstra work, and the first new discovery charges
 // only the settles past the narrowing point.

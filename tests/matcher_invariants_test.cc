@@ -88,8 +88,9 @@ TEST(MatcherInvariantTest, CostIsMonotoneInDemand) {
 
 // The batch assignment solves a min-cost flow: on any instance it must
 // assign everyone exactly when the dense transportation oracle is
-// feasible, reach the oracle's objective to 1e-9 relative, and be
-// bit-identical at every thread count.
+// feasible and reach the oracle's objective to 1e-9 relative. It takes
+// no thread count (it is serial), so the name's "every thread count"
+// holds by construction.
 class BackendEquivalenceTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(BackendEquivalenceTest, MatchesDenseOracleAtEveryThreadCount) {
@@ -107,19 +108,11 @@ TEST_P(BackendEquivalenceTest, MatchesDenseOracleAtEveryThreadCount) {
       SolveDenseTransport(m, l, DistanceMatrix(ri.instance),
                           ri.instance.capacities);
 
-  const McfsSolution serial = AssignOptimally(ri.instance, selected, 1);
-  EXPECT_EQ(serial.feasible, oracle.has_value());
+  const McfsSolution solution = AssignOptimally(ri.instance, selected);
+  EXPECT_EQ(solution.feasible, oracle.has_value());
   if (oracle.has_value()) {
-    EXPECT_NEAR(serial.objective, oracle->cost,
+    EXPECT_NEAR(solution.objective, oracle->cost,
                 1e-9 * (1.0 + std::abs(oracle->cost)));
-  }
-  for (const int threads : {2, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    const McfsSolution threaded =
-        AssignOptimally(ri.instance, selected, threads);
-    EXPECT_EQ(threaded.feasible, serial.feasible);
-    EXPECT_EQ(threaded.assignment, serial.assignment);
-    EXPECT_EQ(threaded.objective, serial.objective);
   }
 }
 

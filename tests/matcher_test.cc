@@ -293,16 +293,145 @@ TEST_P(SaturatedTieSweep, ResumedSearchesMatchDenseOracle) {
 
   std::vector<int> selected(l);
   std::iota(selected.begin(), selected.end(), 0);
-  for (const int threads : {1, 2, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    const McfsSolution solution = AssignOptimally(instance, selected, threads);
-    EXPECT_TRUE(solution.feasible);
-    EXPECT_NEAR(solution.objective, oracle->cost, tolerance);
+  const McfsSolution solution = AssignOptimally(instance, selected);
+  EXPECT_TRUE(solution.feasible);
+  EXPECT_NEAR(solution.objective, oracle->cost, tolerance);
+}
+
+// A stream prefetched to its end answers PeekLowerBound() with its
+// exact next distance, so a matcher whose streams all were takes the
+// Theorem-1 threshold as peeking every stream would. The lazily bounded
+// matcher must make every FindPair decision the same: the same edges in
+// the same order, the same forced materializations, the same matching
+// and potentials. Integer weights make ties frequent, which pins the
+// first-minimum order of the exact fallback too.
+TEST_P(SaturatedTieSweep, BoundedThresholdDecidesAsPeekingEveryStream) {
+  Rng rng(8200 + GetParam());
+  const RandomInstance ri = MakeSaturatedInstance(1 + GetParam() % 3, rng);
+  const McfsInstance& instance = ri.instance;
+  const int m = instance.m();
+  IncrementalMatcher lazy(instance.graph, instance.customers,
+                          instance.facility_nodes, instance.capacities);
+  IncrementalMatcher peeked(instance.graph, instance.customers,
+                            instance.facility_nodes, instance.capacities);
+  peeked.PrefetchCandidates(std::vector<int>(m, instance.l() + 1),
+                            /*threads=*/1);
+  for (int i = 0; i < m; ++i) {
+    SCOPED_TRACE("after customer " + std::to_string(i));
+    ASSERT_TRUE(lazy.FindPair(i));
+    ASSERT_TRUE(peeked.FindPair(i));
+    ASSERT_EQ(lazy.num_dijkstra_runs(), peeked.num_dijkstra_runs());
+    ASSERT_EQ(lazy.num_rewirings(), peeked.num_rewirings());
+    const WarmSeed a = lazy.ExportWarmSeed();
+    const WarmSeed b = peeked.ExportWarmSeed();
+    ASSERT_EQ(a.facility_potentials, b.facility_potentials);
+    for (int c = 0; c < m; ++c) {
+      ASSERT_EQ(a.customers[c].edges, b.customers[c].edges) << "customer " << c;
+      ASSERT_EQ(std::bit_cast<uint64_t>(a.customers[c].potential),
+                std::bit_cast<uint64_t>(b.customers[c].potential))
+          << "customer " << c;
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSweep, SaturatedTieSweep,
                          ::testing::Range(0, 24));
+
+// --- The Theorem-1 threshold read off the streams' lower bounds ---
+
+int64_t Counter(const obs::MetricsSnapshot& snapshot, const char* name) {
+  const auto it = snapshot.counters.find(name);
+  return it == snapshot.counters.end() ? 0 : it->second;
+}
+
+// With capacities that never bind, every customer's nearest facility is
+// free, so the path to it already meets the threshold bounded by the
+// distance its stream just served: FindPair augments without peeking a
+// second candidate, and each stream discovers exactly one facility.
+TEST(IncrementalMatcherTest, NonBindingAssignmentDiscoversOneCandidateEach) {
+  // A path of 301 nodes with slightly uneven weights and three
+  // far-apart facilities, each able to take every customer.
+  GraphBuilder builder(301);
+  for (int v = 1; v < 301; ++v) {
+    builder.AddEdge(v - 1, v, 1.0 + 0.01 * (v % 7));
+  }
+  const Graph graph = builder.Build();
+  Rng rng(77);
+  const int m = 40;
+  McfsInstance instance;
+  instance.graph = &graph;
+  for (int i = 0; i < m; ++i) {
+    instance.customers.push_back(static_cast<NodeId>(rng.UniformInt(0, 300)));
+  }
+  instance.facility_nodes = {0, 150, 300};
+  instance.capacities = {m, m, m};
+  instance.k = 3;
+
+  obs::EnableMetrics(true);
+  obs::ResetMetrics();
+  const McfsSolution solution = AssignOptimally(instance, {0, 1, 2});
+  const obs::MetricsSnapshot snapshot = obs::SnapshotMetrics();
+  obs::EnableMetrics(false);
+  obs::ResetMetrics();
+  EXPECT_EQ(Counter(snapshot, "exec/stream/candidates_discovered"), m);
+  EXPECT_EQ(Counter(snapshot, "matcher/forced_materializations"), m);
+  ASSERT_TRUE(solution.feasible);
+  const std::optional<TransportResult> oracle = SolveDenseTransport(
+      m, instance.l(), DistanceMatrix(instance), instance.capacities);
+  ASSERT_TRUE(oracle.has_value());
+  EXPECT_NEAR(solution.objective, oracle->cost, 1e-9 * (1.0 + oracle->cost));
+}
+
+// Binding capacities (1-2 per facility, occupancy about 1): most
+// augmenting paths miss the bound, so the threshold falls back to exact
+// peeks, which must pick the same customer to grow as peeking every
+// stream would. The matching must stay optimal and dual feasible.
+class BindingThresholdSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(BindingThresholdSweep, ExactFallbackMatchesDenseOracle) {
+  Rng rng(9300 + GetParam());
+  const int n = 40 + static_cast<int>(rng.UniformInt(0, 80));
+  const int l = 4 + static_cast<int>(rng.UniformInt(0, 10));
+  RandomInstance ri = MakeRandomInstance(n, /*m=*/1, l, /*k=*/l,
+                                         /*max_capacity=*/2, rng);
+  McfsInstance& instance = ri.instance;
+  int capacity = 0;
+  for (const int c : instance.capacities) capacity += c;
+  const int m = capacity - static_cast<int>(rng.UniformInt(0, capacity / 10));
+  instance.customers.clear();
+  for (int i = 0; i < m; ++i) {
+    instance.customers.push_back(static_cast<NodeId>(rng.UniformInt(0, n - 1)));
+  }
+  const std::optional<TransportResult> oracle = SolveDenseTransport(
+      m, l, DistanceMatrix(instance), instance.capacities);
+  ASSERT_TRUE(oracle.has_value());  // one component that fits
+  const double tolerance = 1e-9 * (1.0 + oracle->cost);
+
+  obs::EnableMetrics(true);
+  obs::ResetMetrics();
+  IncrementalMatcher matcher(instance.graph, instance.customers,
+                             instance.facility_nodes, instance.capacities);
+  for (int i = 0; i < m; ++i) {
+    ASSERT_TRUE(matcher.FindPair(i)) << "customer " << i;
+    ASSERT_TRUE(matcher.VerifyDualFeasibility()) << "after customer " << i;
+  }
+  const obs::MetricsSnapshot snapshot = obs::SnapshotMetrics();
+  obs::EnableMetrics(false);
+  obs::ResetMetrics();
+  // More materializations than customers: paths were turned down and a
+  // stream had to grow, which the threshold's exact peeks choose.
+  EXPECT_GT(Counter(snapshot, "matcher/forced_materializations"), m);
+  EXPECT_NEAR(matcher.TotalCost(), oracle->cost, tolerance);
+
+  std::vector<int> selected(l);
+  std::iota(selected.begin(), selected.end(), 0);
+  const McfsSolution solution = AssignOptimally(instance, selected);
+  EXPECT_TRUE(solution.feasible);
+  EXPECT_NEAR(solution.objective, oracle->cost, tolerance);
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSweep, BindingThresholdSweep,
+                         ::testing::Range(0, 16));
 
 // sigma_j and matched costs rebuilt from every matched pair, the way the
 // WMA loop built them before it synced only the changed facilities.

@@ -1,9 +1,7 @@
-// Property test for the parallel-prefetch determinism contract: RunWma
-// (and RunUniformFirstWma) must return bit-identical solutions for any
-// thread count, because the final assignment's stream prefetch only
-// changes *when* candidate distances are computed, never *which* entry
-// the matcher consumes. The demand-growth loop itself never dispatches
-// to the pool.
+// Property test for the determinism contract: RunWma (and
+// RunUniformFirstWma) must return bit-identical solutions for any
+// thread count. No solve dispatches to the pool, so the thread count
+// must not reach the answer at all.
 // The same contract extends to the obs layer's logical counters
 // (everything outside the exec/ prefix): identical values for any
 // thread count.
@@ -217,13 +215,11 @@ TEST(WmaDeterminismTest, NaiveLogicalCountersIdenticalAcrossThreadCounts) {
   obs::EnableMetrics(false);
 }
 
-// The only parallel section of a solve is the final assignment's
-// one-shot stream prefetch: the demand-growth loop runs the serial code
-// at every thread count, so a multi-iteration exact run dispatches one
-// ParallelFor and a naive run (whose greedy final assignment has no
-// prefetch) dispatches none. The pool counts inline sections too, so
-// this holds on a single-core host.
-TEST(WmaDeterminismTest, OnlyTheFinalAssignmentDispatchesToThePool) {
+// A solve has no parallel section: the demand-growth loop and the final
+// assignment run the serial code at every thread count, so neither an
+// exact nor a naive run dispatches a ParallelFor. The pool counts
+// inline sections too, so this holds on a single-core host.
+TEST(WmaDeterminismTest, NoSolveDispatchesToThePool) {
   SyntheticNetworkOptions network;
   network.num_nodes = 600;
   network.alpha = 2.0;
@@ -235,20 +231,23 @@ TEST(WmaDeterminismTest, OnlyTheFinalAssignmentDispatchesToThePool) {
                           /*max_capacity=*/8, rng);
 
   for (const bool naive : {false, true}) {
-    SCOPED_TRACE(naive ? "naive" : "exact");
-    obs::ResetMetrics();
-    WmaOptions options;
-    options.naive = naive;
-    options.threads = 4;
-    options.metrics = true;
-    const WmaResult result = RunWma(instance, options);
-    ASSERT_TRUE(result.solution.feasible);
-    ASSERT_GE(result.stats.iterations, 5);
-    const obs::MetricsSnapshot snapshot = obs::SnapshotMetrics();
-    const auto it = snapshot.counters.find("exec/pool/parallel_fors");
-    const int64_t parallel_fors =
-        it == snapshot.counters.end() ? 0 : it->second;
-    EXPECT_EQ(parallel_fors, naive ? 0 : 1);
+    for (const int threads : kThreadCounts) {
+      SCOPED_TRACE(std::string(naive ? "naive" : "exact") +
+                   " threads=" + std::to_string(threads));
+      obs::ResetMetrics();
+      WmaOptions options;
+      options.naive = naive;
+      options.threads = threads;
+      options.metrics = true;
+      const WmaResult result = RunWma(instance, options);
+      ASSERT_TRUE(result.solution.feasible);
+      ASSERT_GE(result.stats.iterations, 5);
+      const obs::MetricsSnapshot snapshot = obs::SnapshotMetrics();
+      const auto it = snapshot.counters.find("exec/pool/parallel_fors");
+      const int64_t parallel_fors =
+          it == snapshot.counters.end() ? 0 : it->second;
+      EXPECT_EQ(parallel_fors, 0);
+    }
   }
   obs::EnableMetrics(false);
 }

@@ -145,8 +145,7 @@ TEST(WmaUniformFirstTest, ValidOnNonuniformInstances) {
 // field for field and bit for bit, cold and warm, at any thread count.
 void ExpectFreshAssignment(const McfsInstance& instance,
                            const McfsSolution& solution) {
-  const McfsSolution fresh =
-      AssignOptimally(instance, solution.selected, /*threads=*/1);
+  const McfsSolution fresh = AssignOptimally(instance, solution.selected);
   EXPECT_EQ(solution.feasible, fresh.feasible);
   EXPECT_EQ(solution.selected, fresh.selected);
   EXPECT_EQ(solution.assignment, fresh.assignment);
